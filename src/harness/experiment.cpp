@@ -1,7 +1,9 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 namespace dive::harness {
 
@@ -130,13 +132,7 @@ RunResult run_experiment(SchemeKind kind, const std::vector<data::Clip>& clips,
     const double duration_s = clip.frame_count() / clip.fps;
     auto scheme = make_scheme(kind, options, network, clip, duration_s);
 
-    for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-      const auto& rec = clip.frames[i];
-      // Lookahead hint: lets pipelining schemes (DiVE) overlap the next
-      // frame's motion search with this frame's encode. Clip storage
-      // outlives the loop, satisfying the hint's lifetime contract.
-      if (i + 1 < clip.frames.size())
-        scheme->hint_next_frame(clip.frames[i + 1].image);
+    for (const auto& rec : clip.frames) {
       const util::SimTime capture = util::from_seconds(rec.timestamp);
       const core::FrameOutcome outcome =
           scheme->process_frame(rec.image, capture);
@@ -181,8 +177,11 @@ int env_int(const char* name, int fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(raw, &end, 10);
-  if (end == raw || v <= 0) return fallback;
+  if (end == raw || *end != '\0' || errno == ERANGE || v <= 0 ||
+      v > std::numeric_limits<int>::max())
+    return fallback;
   return static_cast<int>(v);
 }
 

@@ -106,7 +106,8 @@ RunResult run_experiment(SchemeKind kind, const std::vector<data::Clip>& clips,
 
 /// Reads an integer override from the environment (used by benches to
 /// scale clip counts/frames without recompiling), falling back to
-/// `fallback` when unset or unparsable.
+/// `fallback` unless the whole value is a positive integer that fits in
+/// an int.
 int env_int(const char* name, int fallback);
 
 }  // namespace dive::harness

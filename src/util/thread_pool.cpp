@@ -1,17 +1,22 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 namespace dive::util {
 
 int ThreadPool::resolve_thread_count(int requested) {
-  if (requested > 0) return requested;
+  if (requested > 0) return std::min(requested, kMaxThreads);
   if (const char* env = std::getenv("DIVE_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && errno != ERANGE && v > 0)
+      return static_cast<int>(std::min<long>(v, kMaxThreads));
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return hw > 0 ? std::min(static_cast<int>(hw), kMaxThreads) : 1;
 }
 
 ThreadPool::ThreadPool(int threads) {

@@ -44,9 +44,13 @@ class ThreadPool {
   /// same pool.
   void parallel_for(int begin, int end, const std::function<void(int)>& fn);
 
+  /// Upper bound on the lane count, whatever the request or environment.
+  static constexpr int kMaxThreads = 64;
+
   /// Thread-count policy shared by every DIVE_THREADS consumer:
   /// requested > 0 wins, else the DIVE_THREADS environment variable
-  /// (when a positive integer), else std::thread::hardware_concurrency.
+  /// (when the whole value is a positive integer), else
+  /// std::thread::hardware_concurrency. Clamped to kMaxThreads.
   [[nodiscard]] static int resolve_thread_count(int requested);
 
  private:

@@ -1,6 +1,8 @@
 // Baseline schemes (O3, EAAR, DDS, Uniform) driven over rendered clips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/dataset.h"
 #include "edge/evaluator.h"
 #include "harness/experiment.h"
@@ -25,15 +27,26 @@ std::unique_ptr<core::AnalyticsScheme> scheme_for(harness::SchemeKind kind,
                               clip.frame_count() / clip.fps);
 }
 
-double run_map(core::AnalyticsScheme& scheme, const data::Clip& clip) {
+struct ClipScore {
+  double map = 0.0;
+  double mean_response_ms = 0.0;
+};
+
+ClipScore run_clip(core::AnalyticsScheme& scheme, const data::Clip& clip) {
   edge::ChromaDetector gt;
   edge::ApEvaluator ev;
+  double response_ms = 0.0;
   for (const auto& rec : clip.frames) {
     const auto outcome =
         scheme.process_frame(rec.image, util::from_seconds(rec.timestamp));
     ev.add_frame(outcome.detections, gt.detect(rec.image));
+    response_ms += util::to_millis(outcome.response_time);
   }
-  return ev.map();
+  return {ev.map(), response_ms / static_cast<double>(clip.frames.size())};
+}
+
+double run_map(core::AnalyticsScheme& scheme, const data::Clip& clip) {
+  return run_clip(scheme, clip).map;
 }
 
 TEST(Baselines, O3ProducesUsableDetections) {
@@ -105,13 +118,28 @@ TEST(Baselines, DdsSkipsWhenBacklogged) {
 }
 
 TEST(Baselines, DiveOutperformsKeyframeSchemes) {
-  // The paper's headline ordering at moderate bandwidth.
+  // The paper's headline ordering (Fig. 16/17) at constrained bandwidth:
+  // DiVE mAP > DDS mAP > both keyframe schemes, and DiVE answers faster
+  // than DDS's two-pass round trips. The response ordering does not hold
+  // at 1 Mbps on this clip (DiVE 125.7 ms vs. DDS 124.3 ms mean): DDS
+  // skips 12 of 36 frames under backlog and counts each at the 2 ms
+  // local-tracking latency, while its offloaded frames average 185 ms.
+  // It is asserted at 2 Mbps only.
   const auto clip = small_clip(36);
-  auto dive = scheme_for(harness::SchemeKind::kDive, clip);
-  auto o3 = scheme_for(harness::SchemeKind::kO3, clip);
-  const double dive_map = run_map(*dive, clip);
-  const double o3_map = run_map(*o3, clip);
-  EXPECT_GT(dive_map, o3_map);
+  for (const double mbps : {1.0, 2.0}) {
+    SCOPED_TRACE(testing::Message() << mbps << " Mbps");
+    const auto score = [&](harness::SchemeKind kind) {
+      auto scheme = scheme_for(kind, clip, mbps);
+      return run_clip(*scheme, clip);
+    };
+    const ClipScore dive = score(harness::SchemeKind::kDive);
+    const ClipScore dds = score(harness::SchemeKind::kDds);
+    const ClipScore eaar = score(harness::SchemeKind::kEaar);
+    const ClipScore o3 = score(harness::SchemeKind::kO3);
+    EXPECT_GT(dive.map, dds.map);
+    EXPECT_GT(dds.map, std::max(eaar.map, o3.map));
+    if (mbps >= 2.0) EXPECT_LT(dive.mean_response_ms, dds.mean_response_ms);
+  }
 }
 
 }  // namespace

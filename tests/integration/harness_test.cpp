@@ -112,6 +112,17 @@ TEST(EnvInt, ParsesAndFallsBack) {
   ::unsetenv("DIVE_TEST_ENV_INT");
 }
 
+TEST(EnvInt, RejectsValuesThatAreNotPositiveInts) {
+  ::setenv("DIVE_TEST_ENV_INT", "100000", 1);
+  EXPECT_EQ(env_int("DIVE_TEST_ENV_INT", 7), 100000);
+  // Past INT_MAX: falls back instead of truncating.
+  for (const char* bad : {"abc", "-3", "99999999999", "12abc"}) {
+    ::setenv("DIVE_TEST_ENV_INT", bad, 1);
+    EXPECT_EQ(env_int("DIVE_TEST_ENV_INT", 7), 7) << bad;
+  }
+  ::unsetenv("DIVE_TEST_ENV_INT");
+}
+
 TEST(SchemeNames, Stable) {
   EXPECT_STREQ(to_string(SchemeKind::kDive), "DiVE");
   EXPECT_STREQ(to_string(SchemeKind::kO3), "O3");

@@ -83,5 +83,31 @@ TEST(ThreadPool, ResolveThreadCountPolicy) {
   EXPECT_GE(ThreadPool::resolve_thread_count(0), 1);
 }
 
+// Only resolves counts: constructing a pool from an unbounded count would
+// spawn that many OS threads.
+TEST(ThreadPool, ResolveThreadCountParsesStrictlyAndClamps) {
+  ASSERT_EQ(unsetenv("DIVE_THREADS"), 0);
+  const int hardware = ThreadPool::resolve_thread_count(0);
+  EXPECT_GE(hardware, 1);
+  EXPECT_LE(hardware, ThreadPool::kMaxThreads);
+
+  // Not a whole positive integer: fall back to the hardware count.
+  for (const char* bad : {"abc", "-3", "0", "4abc", ""}) {
+    ASSERT_EQ(setenv("DIVE_THREADS", bad, 1), 0);
+    EXPECT_EQ(ThreadPool::resolve_thread_count(0), hardware) << bad;
+  }
+  // Too large (including past INT_MAX): clamped to the cap.
+  for (const char* big : {"100000", "99999999999"}) {
+    ASSERT_EQ(setenv("DIVE_THREADS", big, 1), 0);
+    EXPECT_EQ(ThreadPool::resolve_thread_count(0), ThreadPool::kMaxThreads)
+        << big;
+  }
+  ASSERT_EQ(unsetenv("DIVE_THREADS"), 0);
+
+  EXPECT_EQ(ThreadPool::resolve_thread_count(100000), ThreadPool::kMaxThreads);
+  EXPECT_EQ(ThreadPool::resolve_thread_count(ThreadPool::kMaxThreads),
+            ThreadPool::kMaxThreads);
+}
+
 }  // namespace
 }  // namespace dive::util

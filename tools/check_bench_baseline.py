@@ -13,11 +13,14 @@ Fresh records with no baseline are listed but ignored (benches graduate
 to pinned status by getting a baseline checked in).
 
 Each baseline pins the metric SET exactly (a renamed or dropped metric is
-a hard failure — the record is an interface) and the VALUES loosely:
-CI runners differ wildly in clock speed, so only order-of-magnitude
-regressions should fail the build.
+a hard failure — the record is an interface). Deterministic values are
+pinned exactly; host-time values loosely, since CI runners differ wildly
+in clock speed and only order-of-magnitude regressions should fail the
+build.
 
-Per-unit direction:
+Per-unit rule:
+  deterministic units (mAP, count, frac, fraction, dB):
+                                            |fresh - baseline| <= 1e-9 relative
   time-like units (ns/call, ms/frame, ...): fresh <= baseline * tolerance
   ratio units ("x", speedups):              fresh >= baseline / tolerance
 Other units are checked for presence only.
@@ -31,6 +34,9 @@ import sys
 
 TIME_UNITS = {"ns", "ns/call", "us", "ms", "ms/frame", "s"}
 RATIO_UNITS = {"x"}
+# Seeded, host-independent results: any drift is a behaviour change.
+EXACT_UNITS = {"mAP", "count", "frac", "fraction", "dB"}
+EXACT_REL_TOL = 1e-9
 
 
 def load_records(path):
@@ -60,7 +66,17 @@ def check_pair(baseline_path, fresh_path, tolerance):
             )
             continue
         bval, fval, unit = brec["value"], frec["value"], brec["unit"]
-        if unit in TIME_UNITS and bval > 0:
+        if unit in EXACT_UNITS:
+            exact = abs(fval - bval) <= EXACT_REL_TOL * max(abs(bval),
+                                                            abs(fval))
+            print(f"{name}: {fval!r} {unit} (baseline {bval!r}, exact) "
+                  f"{'OK' if exact else 'CHANGED'}")
+            if not exact:
+                failures.append(
+                    f"{label}: {name}: {fval!r} {unit} differs from "
+                    f"deterministic baseline {bval!r}"
+                )
+        elif unit in TIME_UNITS and bval > 0:
             limit = bval * tolerance
             verdict = "OK" if fval <= limit else "REGRESSED"
             print(f"{name}: {fval:.4g} {unit} (baseline {bval:.4g}, "

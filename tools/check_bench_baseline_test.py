@@ -2,8 +2,8 @@
 """Unit test of tools/check_bench_baseline.py — the gate that pins bench
 records in CI. The gate itself was untested; a bug here would silently
 wave regressions through (or hard-fail every PR), so it gets the same
-treatment as any parser: missing-file, metric-set, unit, and
-tolerance-edge cases. Runs as ctest 'lint/check_bench_baseline'.
+treatment as any parser: missing-file, metric-set, unit, exact-compare
+and tolerance-edge cases. Runs as ctest 'lint/check_bench_baseline'.
 """
 
 import json
@@ -157,6 +157,45 @@ expect(
     1,
     run_checker(base, fresh),
     needle="below baseline",
+)
+
+# --- deterministic units are compared exactly (1e-9 relative) ---
+for unit in ("mAP", "count", "frac", "fraction", "dB"):
+    bdir, fdir = fresh_dirs()
+    base = os.path.join(bdir, "BENCH_x.json")
+    fresh = os.path.join(fdir, "BENCH_x.json")
+    write(base, record("x", [("m", 0.75, unit)]))
+    write(fresh, record("x", [("m", 0.75 * (1 + 5e-10), unit)]))
+    expect(f"{unit} metric within 1e-9 relative passes", 0,
+           run_checker(base, fresh))
+    write(fresh, record("x", [("m", 0.75 * (1 + 1e-8), unit)]))
+    expect(
+        f"{unit} metric off by 1e-8 relative fails",
+        1,
+        run_checker(base, fresh),
+        needle="differs from deterministic baseline",
+    )
+    # Tolerance does not loosen a deterministic metric.
+    write(fresh, record("x", [("m", 0.76, unit)]))
+    expect(
+        f"{unit} metric ignores --tolerance",
+        1,
+        run_checker(base, fresh, "--tolerance", "100"),
+        needle="differs from deterministic baseline",
+    )
+bdir, fdir = fresh_dirs()
+base = os.path.join(bdir, "BENCH_x.json")
+fresh = os.path.join(fdir, "BENCH_x.json")
+write(base, record("x", [("dropped_frames", 0, "count")]))
+write(fresh, record("x", [("dropped_frames", 0, "count")]))
+expect("zero count equal to a zero baseline passes", 0,
+       run_checker(base, fresh))
+write(fresh, record("x", [("dropped_frames", 1, "count")]))
+expect(
+    "nonzero count against a zero baseline fails",
+    1,
+    run_checker(base, fresh),
+    needle="differs from deterministic baseline",
 )
 
 # --- unknown units are presence-only ---
