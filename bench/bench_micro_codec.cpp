@@ -32,6 +32,7 @@
 #include "codec/sad_kernels.h"
 #include "video/sse_kernels.h"
 #include "obs/obs.h"
+#include "util/cpu_isa.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -112,9 +113,8 @@ void BM_SadKernel(benchmark::State& state) {
         fn(&cur.y.data[static_cast<std::size_t>(y) * 256 + x], 256,
            &ref.y.data[static_cast<std::size_t>(y) * 256 + ((x + 8) % (256 - 16))], 256));
   }
-  state.SetLabel(state.range(0) != 0
-                     ? codec::to_string(codec::active_sad_kernel())
-                     : "scalar");
+  state.SetLabel(state.range(0) != 0 ? util::to_string(util::detected_isa())
+                                     : "scalar");
 }
 BENCHMARK(BM_SadKernel)->Arg(0)->Arg(1);
 
@@ -131,9 +131,8 @@ void BM_SseKernel(benchmark::State& state) {
     benchmark::DoNotOptimize(
         fn(cur.y.data.data(), ref.y.data.data(), cur.y.data.size()));
   }
-  state.SetLabel(state.range(0) != 0
-                     ? dive::video::to_string(dive::video::active_sse_kernel())
-                     : "scalar");
+  state.SetLabel(state.range(0) != 0 ? util::to_string(util::detected_isa())
+                                     : "scalar");
 }
 BENCHMARK(BM_SseKernel)->Arg(0)->Arg(1);
 
@@ -295,8 +294,8 @@ double timed_ns(int reps, Fn&& fn) {
 /// BENCH_micro_sad.json: per-call cost of the canonical scalar kernel
 /// vs. the runtime-dispatched kernel over a position sweep, plus the
 /// resulting speedup. The SIMD metric reports the dispatched kernel even
-/// when that IS scalar (DIVE_FORCE_SCALAR / no SIMD), so the record
-/// stays well-formed on every matrix leg.
+/// when that IS scalar (a CPU without SSE2/NEON), so the record stays
+/// well-formed on every host.
 void emit_sad_record() {
   const auto cur = textured_frame(256, 256, 4);
   const auto ref = textured_frame(256, 256, 14);
@@ -318,7 +317,7 @@ void emit_sad_record() {
 
   dive::bench::BenchRecorder rec("micro_sad");
   rec.add("sad16.scalar", scalar_ns, "ns/call");
-  rec.add(std::string("sad16.") + codec::to_string(codec::active_sad_kernel()),
+  rec.add(std::string("sad16.") + util::to_string(util::detected_isa()),
           simd_ns, "ns/call");
   rec.add("sad16.speedup", simd_ns > 0 ? scalar_ns / simd_ns : 0.0, "x");
   rec.write();
@@ -326,7 +325,7 @@ void emit_sad_record() {
 
 /// BENCH_micro_sse.json: full-plane SSE accumulation (the PSNR hot loop)
 /// with the canonical scalar kernel vs. the dispatched one. Same
-/// matrix-leg caveat as the SAD record.
+/// scalar-host caveat as the SAD record.
 void emit_sse_record() {
   const auto cur = textured_frame(256, 256, 4);
   const auto ref = textured_frame(256, 256, 14);
@@ -344,8 +343,7 @@ void emit_sse_record() {
 
   dive::bench::BenchRecorder rec("micro_sse");
   rec.add("sse_plane.scalar", scalar_ns, "ns/call");
-  rec.add(std::string("sse_plane.") +
-              dive::video::to_string(dive::video::active_sse_kernel()),
+  rec.add(std::string("sse_plane.") + util::to_string(util::detected_isa()),
           simd_ns, "ns/call");
   rec.add("sse_plane.speedup", simd_ns > 0 ? scalar_ns / simd_ns : 0.0, "x");
   rec.write();

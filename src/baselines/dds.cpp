@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "baselines/roi_offsets.h"
+
 namespace dive::baselines {
 
 DdsScheme::DdsScheme(DdsConfig config, codec::EncoderConfig encoder_config,
@@ -56,24 +58,9 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
   outcome.bytes_sent += pass1.bytes();
 
   // ---- Feedback -> pass 2 QP map ----
-  const int mb_cols = frame.width() / codec::kMacroblockSize;
-  const int mb_rows = frame.height() / codec::kMacroblockSize;
-  codec::QpOffsetMap offsets(
-      mb_cols, mb_rows,
-      static_cast<std::int8_t>(config_.pass2_background_delta));
-  const double mb = codec::kMacroblockSize;
-  for (const auto& det : feedback.detections) {
-    const geom::Box roi{det.box.x0 - config_.region_padding_px,
-                        det.box.y0 - config_.region_padding_px,
-                        det.box.x1 + config_.region_padding_px,
-                        det.box.y1 + config_.region_padding_px};
-    const int c0 = std::max(0, static_cast<int>(roi.x0 / mb));
-    const int c1 = std::min(mb_cols - 1, static_cast<int>(roi.x1 / mb));
-    const int r0 = std::max(0, static_cast<int>(roi.y0 / mb));
-    const int r1 = std::min(mb_rows - 1, static_cast<int>(roi.y1 / mb));
-    for (int row = r0; row <= r1; ++row)
-      for (int col = c0; col <= c1; ++col) offsets.at(col, row) = 0;
-  }
+  const codec::QpOffsetMap offsets = detection_roi_offsets(
+      frame.width(), frame.height(), feedback.detections,
+      config_.region_padding_px, config_.pass2_background_delta);
 
   // ---- Pass 2: high-quality regions, after the feedback lands ----
   const auto budget2 = static_cast<std::size_t>(

@@ -51,13 +51,6 @@ class BitReader {
   std::uint32_t get_ue();
   std::int32_t get_se();
 
-  [[nodiscard]] bool exhausted() const {
-    return pos_byte_ >= data_.size();
-  }
-  [[nodiscard]] std::size_t bits_consumed() const {
-    return pos_byte_ * 8 + pos_bit_;
-  }
-
  private:
   std::span<const std::uint8_t> data_;
   std::size_t pos_byte_ = 0;

@@ -22,6 +22,7 @@ namespace {
 
 constexpr int kMb = kMacroblockSize;
 constexpr int kBlocksPerMb = 6;  ///< 4 luma 8x8 + U + V
+constexpr int kRateIterations = 5;  ///< QP trials per encode_to_target
 
 std::uint8_t clamp_pixel(double v) {
   return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
@@ -209,7 +210,7 @@ FrameType Encoder::next_frame_type(const video::Frame& src) {
   if (force_intra_ || !has_reference_) return FrameType::kIntra;
   if (config_.gop_length > 0 && frame_index_ % config_.gop_length == 0)
     return FrameType::kIntra;
-  if (config_.scene_change_detection && config_.scene_change_luma_delta > 0.0) {
+  if (config_.scene_change_luma_delta > 0.0) {
     const double step =
         std::abs(mean_luma(src.y) - mean_luma(reference_.y));
     if (step > config_.scene_change_luma_delta) {
@@ -580,7 +581,7 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   int best_qp = -1;  // smallest fitting QP seen so far
   int over_qp = -1;  // most recent non-fitting QP
 
-  for (int iter = 0; iter < std::max(1, config_.rate_iterations); ++iter) {
+  for (int iter = 0; iter < kRateIterations; ++iter) {
     const Trial& trial = eval(qp);
     if (trial.data.size() <= target_bytes) {
       hi = trial.base_qp - 1;

@@ -48,7 +48,6 @@ struct EncoderConfig {
   int height = 0;  ///< must be a multiple of 16
   MotionSearchConfig search;
   int gop_length = 120;         ///< distance between intra frames
-  int rate_iterations = 5;      ///< QP trials for encode_to_target
   /// Worker lanes (including the calling thread) for motion search and
   /// the inter-frame macroblock loop. 0 = DIVE_THREADS env var, else all
   /// hardware threads; 1 = fully serial. Output is bit-identical for
@@ -72,8 +71,8 @@ struct EncoderConfig {
   /// would otherwise leave every macroblock with a large DC residual and
   /// defeat SKIP/temporal prediction for the rest of the GoP. Forcing
   /// the I-frame resets the temporal chain exactly like a cold start.
-  bool scene_change_detection = true;
-  /// Mean-luma step (DN, 0..255 scale) that triggers the cut detector.
+  /// Mean-luma step (DN, 0..255 scale) that triggers the cut detector;
+  /// 0 turns detection off.
   double scene_change_luma_delta = 24.0;
 };
 
@@ -155,7 +154,7 @@ class Encoder {
   /// frame carry this context's flow id, linking them to the frame's
   /// uplink/serve/edge spans across tracks. The harness mints one
   /// context per captured frame; an unminted (default) context leaves
-  /// spans untagged. Plain data — survives DIVE_OBS_DISABLED builds.
+  /// spans untagged.
   void set_frame_context(const obs::FrameTraceContext& ctx) {
     frame_ctx_ = ctx;
   }

@@ -2,11 +2,9 @@
 //
 // The scalar kernel is the canonical reference: every SIMD variant must
 // return the exact same sum for the same inputs (SAD is integer, so this
-// is achievable and enforced by the `differential` test label). Dispatch
-// order: the DIVE_DISABLE_SIMD compile gate wins, then the
-// DIVE_FORCE_SCALAR environment variable (any value other than "0"),
-// then CPU detection (AVX2 > SSE2 on x86, NEON on AArch64). The choice
-// is resolved once per process on first use.
+// is achievable and enforced by the `differential` test label). The
+// dispatched kernel is the one for util::detected_isa(), resolved once
+// per process on first use.
 //
 // Kernels operate on raw row pointers with independent strides so they
 // serve both full planes (stride == width, including odd widths) and any
@@ -18,11 +16,6 @@
 #include <cstdint>
 
 namespace dive::codec {
-
-/// Which concrete kernel backs sad_16x16_fn() in this process.
-enum class SadKernel : std::uint8_t { kScalar, kSse2, kAvx2, kNeon };
-
-const char* to_string(SadKernel k);
 
 /// Per-searcher kernel policy (MotionSearchConfig::sad). kAuto uses the
 /// process-wide dispatched kernel; kScalar pins the reference kernel so
@@ -38,10 +31,7 @@ using Sad16Fn = std::uint32_t (*)(const std::uint8_t* cur, int cur_stride,
 std::uint32_t sad_16x16_scalar(const std::uint8_t* cur, int cur_stride,
                                const std::uint8_t* ref, int ref_stride);
 
-/// The kernel dispatch resolved for this process (see file comment).
-SadKernel active_sad_kernel();
-
-/// Function pointer matching active_sad_kernel().
+/// The kernel for util::detected_isa() (see file comment).
 Sad16Fn sad_16x16_fn();
 
 /// Resolves a policy to a concrete kernel function.

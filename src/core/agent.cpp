@@ -6,23 +6,12 @@
 
 namespace dive::core {
 
-namespace {
-
-/// The agent-level thread knob fills in the encoder config unless the
-/// caller already pinned a count there.
-codec::EncoderConfig with_threads(codec::EncoderConfig ec, int threads) {
-  if (ec.threads == 0) ec.threads = threads;
-  return ec;
-}
-
-}  // namespace
-
 DiveAgent::DiveAgent(DiveConfig config, codec::EncoderConfig encoder_config,
                      geom::PinholeCamera camera,
                      std::shared_ptr<net::Uplink> uplink,
                      std::shared_ptr<edge::EdgeServer> server)
     : config_(config),
-      encoder_(with_threads(encoder_config, config.encode_threads)),
+      encoder_(encoder_config),
       camera_(camera),
       uplink_(std::move(uplink)),
       server_(std::move(server)),
@@ -173,12 +162,12 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
     bandwidth_.add_transmission(static_cast<double>(upload_bytes),
                                 tx.started, tx.sent_complete);
     edge::InferenceResult inference;
+    roi::GatePlan plan;
     {
       DIVE_OBS_SPAN(span, obs, "agent.edge_infer", obs::kTrackAgent);
       if (config_.roi_metadata) {
-        inference = gate_.process(encoded.data, &meta, tx.arrival,
-                                  &last_plan_);
-        span.arg("gated", last_plan_.gated ? 1 : 0);
+        inference = gate_.process(encoded.data, &meta, tx.arrival, &plan);
+        span.arg("gated", plan.gated ? 1 : 0);
       } else {
         inference = server_->process(encoded.data, tx.arrival);
       }
@@ -204,11 +193,9 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
         auto& m = obs->metrics;
         m.counter("roi.sidecar_bytes", "bytes")
             .add(static_cast<std::int64_t>(sidecar.size()));
-        m.counter(last_plan_.gated ? "roi.gated_frames" : "roi.full_frames")
-            .add();
-        m.distribution("roi.pixel_fraction", "ratio")
-            .add(last_plan_.pixel_fraction);
-        m.distribution("roi.coverage", "ratio").add(last_plan_.coverage);
+        m.counter(plan.gated ? "roi.gated_frames" : "roi.full_frames").add();
+        m.distribution("roi.pixel_fraction", "ratio").add(plan.pixel_fraction);
+        m.distribution("roi.coverage", "ratio").add(plan.coverage);
         m.gauge("roi.propagated_boxes", "count")
             .set(static_cast<double>(gate_.stats().propagated_boxes));
       }

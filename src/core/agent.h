@@ -45,17 +45,13 @@ struct DiveConfig {
   bool roi_metadata = false;
   roi::RoiGateConfig roi_gate;  ///< gating policy (only with roi_metadata)
   std::uint64_t seed = 7;
-  /// Encoder worker lanes (motion search + macroblock loop). Applied to
-  /// the encoder config unless that already names a count. 0 defers to
-  /// the DIVE_THREADS env var / hardware default; 1 forces serial.
-  /// Encoded output is bit-identical for every value.
-  int encode_threads = 0;
   /// Observability context (non-owning; null = unobserved). The agent
   /// forwards it to its encoder, uplink, and edge server, and emits
   /// per-stage spans (MV harvest, preprocess/eta, foreground, QP
   /// assignment, encode, transmit, MOT fallback) plus "agent.*" metrics.
   /// Stage spans are recorded from the calling thread onto fixed tracks,
-  /// so a same-seed run observes identically for every encode_threads.
+  /// so a same-seed run observes identically for every
+  /// EncoderConfig::threads.
   obs::ObsContext* obs = nullptr;
 };
 
@@ -82,11 +78,6 @@ class DiveAgent final : public AnalyticsScheme {
   }
   [[nodiscard]] int last_background_delta() const { return last_delta_; }
 
-  /// RoI gating state of the most recent offloaded frame (only
-  /// meaningful with DiveConfig::roi_metadata).
-  [[nodiscard]] const roi::GatePlan& last_gate_plan() const {
-    return last_plan_;
-  }
   [[nodiscard]] const roi::RoiGate& gate() const { return gate_; }
 
  private:
@@ -102,7 +93,6 @@ class DiveAgent final : public AnalyticsScheme {
   BandwidthEstimator bandwidth_;
   OfflineTracker tracker_;
   roi::RoiGate gate_;  ///< wraps server_; used only with roi_metadata
-  roi::GatePlan last_plan_;
 
   edge::DetectionList last_detections_;
   PreprocessResult last_pre_;

@@ -72,7 +72,7 @@ struct ServeScenarioOptions {
 
 /// Defaults tuned so the 1 -> 64 sweep crosses the node's capacity:
 /// 2 workers, batches of 4 with a 4 ms window, 4-deep session queues,
-/// 400 ms deadline.
+/// 400 ms deadline, RoI lane off.
 ServeScenarioOptions default_serve_options();
 
 struct ServeSessionResult {

@@ -2,11 +2,10 @@
 // value through every stage a frame touches (encoder -> sidecar/uplink ->
 // admission -> scheduler -> edge inference -> result).
 //
-// The context is a plain struct on purpose: it is always compiled — even
-// under DIVE_OBS_DISABLED — so the propagation plumbing through codec,
-// net, serve, and edge never forks on the build flag. Only span emission
-// and ledger bookkeeping are observability features; carrying three
-// integers is not.
+// The context is a plain struct on purpose: carrying three integers
+// through codec, net, serve, and edge costs nothing whether or not the
+// run is observed. Only span emission and ledger bookkeeping are
+// observability features.
 //
 // `sequence` is a monotone, deterministic mint order (global capture
 // order in the harness) and doubles as the Chrome-trace flow id tying a

@@ -2,11 +2,6 @@
 // the stack (agent, codec, net, edge, serve) as a non-owning pointer.
 // A null context means "not observed" and costs a single pointer check
 // at every instrumentation site.
-//
-// Compile-out: building with -DDIVE_OBS_DISABLED (CMake option
-// DIVE_OBS_DISABLED) turns the DIVE_OBS_SPAN macro into an inert span so
-// tracing call sites vanish from the binary; metric counters remain (they
-// are already no-ops without a context).
 #pragma once
 
 #include "obs/frame_context.h"
@@ -28,10 +23,6 @@ struct ObsContext {
 /// null). Usage:
 ///   DIVE_OBS_SPAN(span, obs_, "codec.encode_to_target", obs::kTrackCodec);
 ///   span.arg("target_bytes", static_cast<long long>(target));
-#if defined(DIVE_OBS_DISABLED)
-#define DIVE_OBS_SPAN(var, ctx, name, track) ::dive::obs::ScopedSpan var
-#else
 #define DIVE_OBS_SPAN(var, ctx, name, track)            \
   ::dive::obs::ScopedSpan var(                          \
       (ctx) != nullptr ? &(ctx)->tracer : nullptr, (name), (track))
-#endif

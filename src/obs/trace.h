@@ -24,8 +24,7 @@
 // counts.
 //
 // Overhead: when tracing is disabled (the default) a span is one relaxed
-// atomic load; compiling with DIVE_OBS_DISABLED removes the macro call
-// sites entirely (see obs/obs.h).
+// atomic load, and without an ObsContext it is one null-pointer check.
 #pragma once
 
 #include <atomic>

@@ -58,12 +58,9 @@ struct Frame {
   }
   bool operator==(const Frame&) const = default;
 
-  /// Chroma samples co-sited with luma pixel (x, y).
+  /// Chroma sample co-sited with luma pixel (x, y).
   [[nodiscard]] std::uint8_t u_at_luma(int x, int y_) const {
     return u.at_clamped(x / 2, y_ / 2);
-  }
-  [[nodiscard]] std::uint8_t v_at_luma(int x, int y_) const {
-    return v.at_clamped(x / 2, y_ / 2);
   }
 };
 

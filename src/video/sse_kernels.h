@@ -5,11 +5,9 @@
 // kernel is the canonical reference and every SIMD variant must return
 // the exact same integer sum for the same inputs (squared differences of
 // u8 are integers, and the u64 accumulator cannot overflow for any
-// realistic plane — 2^64 / 255^2 pixels is ~280 petapixels). Dispatch
-// order: the DIVE_DISABLE_SIMD compile gate wins, then the
-// DIVE_FORCE_SCALAR environment variable (any value other than "0"),
-// then CPU detection (AVX2 > SSE2 on x86, NEON on AArch64), resolved
-// once per process on first use.
+// realistic plane — 2^64 / 255^2 pixels is ~280 petapixels). The
+// dispatched kernel is the one for util::detected_isa(), resolved once
+// per process on first use.
 //
 // Kernels operate on contiguous byte spans: planes store their pixels
 // densely, so PSNR over a plane is one call — no stride plumbing needed.
@@ -20,11 +18,6 @@
 
 namespace dive::video {
 
-/// Which concrete kernel backs sse_u8_fn() in this process.
-enum class SseKernel : std::uint8_t { kScalar, kSse2, kAvx2, kNeon };
-
-const char* to_string(SseKernel k);
-
 /// Sum of squared differences between `n` bytes at `a` and `b`.
 using SseU8Fn = std::uint64_t (*)(const std::uint8_t* a,
                                   const std::uint8_t* b, std::size_t n);
@@ -33,10 +26,7 @@ using SseU8Fn = std::uint64_t (*)(const std::uint8_t* a,
 std::uint64_t sse_u8_scalar(const std::uint8_t* a, const std::uint8_t* b,
                             std::size_t n);
 
-/// The kernel dispatch resolved for this process (see file comment).
-SseKernel active_sse_kernel();
-
-/// Function pointer matching active_sse_kernel().
+/// The kernel for util::detected_isa() (see file comment).
 SseU8Fn sse_u8_fn();
 
 }  // namespace dive::video

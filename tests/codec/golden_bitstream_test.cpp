@@ -13,6 +13,10 @@
 // the "actual" values it prints into kGolden below, and call out the
 // bitstream change explicitly in the commit message. If the change is NOT
 // intentional, the encoder regressed — bisect before touching this file.
+//
+// Every digest is computed twice, with the canonical scalar SAD kernel
+// (SadKernelPolicy::kScalar) and with the kernel dispatched for this CPU
+// (kAuto), so one process proves both kernel paths emit the pinned bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,15 +59,21 @@ std::uint64_t fnv1a(std::uint64_t h, const std::vector<std::uint8_t>& bytes) {
   return h;
 }
 
+constexpr SadKernelPolicy kPolicies[] = {SadKernelPolicy::kScalar,
+                                         SadKernelPolicy::kAuto};
+
+const char* policy_name(SadKernelPolicy sad) {
+  return sad == SadKernelPolicy::kScalar ? "scalar" : "auto";
+}
+
 /// Digest of the full encoded sequence (6 frames, 1 intra + 5 inter) at
 /// one base QP and search method, frame boundaries mixed in via the
 /// per-frame size.
-std::uint64_t sequence_digest(int qp,
-                              MotionSearchMethod method =
-                                  MotionSearchMethod::kHex) {
+std::uint64_t sequence_digest(int qp, MotionSearchMethod method,
+                              SadKernelPolicy sad) {
   Encoder enc({.width = 128,
                .height = 64,
-               .search = {.method = method},
+               .search = {.method = method, .sad = sad},
                .threads = 2});
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (int i = 0; i < 6; ++i) {
@@ -81,8 +91,11 @@ std::uint64_t sequence_digest(int qp,
 /// quarter of their luma, so the encoder's scene-change detection forces
 /// I-frames at the entry (frame 2) and exit (frame 4) steps. Pins the
 /// forced-intra path (mid-GoP reset) alongside the steady-state points.
-std::uint64_t tunnel_sequence_digest(int qp) {
-  Encoder enc({.width = 128, .height = 64, .threads = 2});
+std::uint64_t tunnel_sequence_digest(int qp, SadKernelPolicy sad) {
+  Encoder enc({.width = 128,
+               .height = 64,
+               .search = {.sad = sad},
+               .threads = 2});
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto tunnel_frame = [](int i) {
     video::Frame f = golden_frame(
@@ -124,20 +137,23 @@ constexpr GoldenPoint kGolden[] = {
 };
 
 TEST(GoldenBitstream, DigestsMatchCheckedInConstants) {
-  for (const auto& point : kGolden) {
-    const std::uint64_t actual = sequence_digest(point.qp, point.method);
-    EXPECT_EQ(actual, point.digest)
-        << "\n"
-        << "GOLDEN BITSTREAM MISMATCH at qp=" << point.qp << " method="
-        << to_string(point.method) << "\n"
-        << "  expected digest: 0x" << std::hex << point.digest << "\n"
-        << "  actual digest:   0x" << std::hex << actual << "\n"
-        << "The encoder's output changed for the pinned seeded sequence.\n"
-        << "If this is an INTENTIONAL format/RD change: update kGolden in\n"
-        << "tests/codec/golden_bitstream_test.cpp with the actual value\n"
-        << "above and describe the bitstream change in the commit message.\n"
-        << "If not intentional: you broke the encoder — bisect, do not\n"
-        << "re-bake.";
+  for (const SadKernelPolicy sad : kPolicies) {
+    for (const auto& point : kGolden) {
+      const std::uint64_t actual =
+          sequence_digest(point.qp, point.method, sad);
+      EXPECT_EQ(actual, point.digest)
+          << "\n"
+          << "GOLDEN BITSTREAM MISMATCH at qp=" << point.qp << " method="
+          << to_string(point.method) << " sad=" << policy_name(sad) << "\n"
+          << "  expected digest: 0x" << std::hex << point.digest << "\n"
+          << "  actual digest:   0x" << std::hex << actual << "\n"
+          << "The encoder's output changed for the pinned seeded sequence.\n"
+          << "If this is an INTENTIONAL format/RD change: update kGolden in\n"
+          << "tests/codec/golden_bitstream_test.cpp with the actual value\n"
+          << "above and describe the bitstream change in the commit message.\n"
+          << "If not intentional: you broke the encoder — bisect, do not\n"
+          << "re-bake.";
+    }
   }
 }
 
@@ -148,14 +164,17 @@ TEST(GoldenBitstream, DigestsMatchCheckedInConstants) {
 constexpr std::uint64_t kTunnelGoldenQp30 = 0x7b8578602feff239ULL;
 
 TEST(GoldenBitstream, TunnelDigestMatchesCheckedInConstant) {
-  const std::uint64_t actual = tunnel_sequence_digest(30);
-  EXPECT_EQ(actual, kTunnelGoldenQp30)
-      << "\n"
-      << "GOLDEN BITSTREAM MISMATCH on the tunnel (scene-cut) sequence\n"
-      << "  expected digest: 0x" << std::hex << kTunnelGoldenQp30 << "\n"
-      << "  actual digest:   0x" << std::hex << actual << "\n"
-      << "Re-bake kTunnelGoldenQp30 only for INTENTIONAL format, RD, or\n"
-      << "scene-change-policy changes, and say so in the commit message.";
+  for (const SadKernelPolicy sad : kPolicies) {
+    const std::uint64_t actual = tunnel_sequence_digest(30, sad);
+    EXPECT_EQ(actual, kTunnelGoldenQp30)
+        << "\n"
+        << "GOLDEN BITSTREAM MISMATCH on the tunnel (scene-cut) sequence"
+        << " sad=" << policy_name(sad) << "\n"
+        << "  expected digest: 0x" << std::hex << kTunnelGoldenQp30 << "\n"
+        << "  actual digest:   0x" << std::hex << actual << "\n"
+        << "Re-bake kTunnelGoldenQp30 only for INTENTIONAL format, RD, or\n"
+        << "scene-change-policy changes, and say so in the commit message.";
+  }
 }
 
 TEST(GoldenBitstream, GoldenSequenceStillDecodes) {

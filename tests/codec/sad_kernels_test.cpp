@@ -9,11 +9,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "codec/motion_search.h"
 #include "codec/sad_kernels.h"
+#include "util/cpu_isa.h"
 #include "util/rng.h"
 #include "video/frame.h"
 
@@ -52,13 +52,13 @@ std::uint32_t reference_sad(const std::uint8_t* cur, int cur_stride,
 }
 
 TEST(SadKernels, DispatchReportsAKernel) {
-  const SadKernel k = active_sad_kernel();
-  EXPECT_NE(to_string(k), nullptr);
+  EXPECT_STRNE(util::to_string(util::detected_isa()), "?");
   EXPECT_NE(sad_16x16_fn(), nullptr);
-  // The env override must pin the dispatch to the scalar kernel.
-  const char* force = std::getenv("DIVE_FORCE_SCALAR");
-  if (force != nullptr && std::string_view(force) != "0")
-    EXPECT_EQ(k, SadKernel::kScalar);
+  // Resolved once: every call hands out the same cached pointer.
+  EXPECT_EQ(sad_16x16_fn(), sad_16x16_fn());
+  if (util::detected_isa() == util::Isa::kScalar) {
+    EXPECT_EQ(sad_16x16_fn(), &sad_16x16_scalar);
+  }
 }
 
 TEST(SadKernels, MatchesScalarOnRandomBlocks) {
@@ -76,7 +76,7 @@ TEST(SadKernels, MatchesScalarOnRandomBlocks) {
     const std::uint8_t* r = &ref[static_cast<std::size_t>(ry) * w + rx];
     const std::uint32_t want = sad_16x16_scalar(c, w, r, w);
     ASSERT_EQ(fast(c, w, r, w), want)
-        << "kernel=" << to_string(active_sad_kernel()) << " cur=(" << cx
+        << "kernel=" << util::to_string(util::detected_isa()) << " cur=(" << cx
         << "," << cy << ") ref=(" << rx << "," << ry << ")";
     ASSERT_EQ(want, reference_sad(c, w, r, w));
   }

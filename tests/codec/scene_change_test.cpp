@@ -1,4 +1,4 @@
-// Scene-change detection (EncoderConfig::scene_change_detection): a
+// Scene-change detection (EncoderConfig::scene_change_luma_delta): a
 // global mean-luma step between the incoming frame and the reference —
 // tunnel entry/exit, headlight loss, exposure slam — forces an I-frame
 // mid-GoP, fully resetting SKIP and temporal carry. The forced intra
@@ -62,7 +62,7 @@ TEST(SceneChange, SubThresholdStepStaysInter) {
 
 TEST(SceneChange, DetectionOffKeepsInterCoding) {
   EncoderConfig cfg{.width = 128, .height = 64};
-  cfg.scene_change_detection = false;
+  cfg.scene_change_luma_delta = 0.0;
   Encoder enc(cfg);
   (void)enc.encode(lit_frame(128, 64, 140, 1), 26);
   EXPECT_EQ(enc.encode(lit_frame(128, 64, 50, 3), 26).type,

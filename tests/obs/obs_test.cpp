@@ -301,11 +301,7 @@ TEST(ObsDeterminism, ExportBytesIdenticalAcrossEncodeThreadCounts) {
   const std::string four = obs_export_for_thread_count(4);
   EXPECT_EQ(one, four);
   EXPECT_NE(one.find("codec.frames"), std::string::npos);
-#if !defined(DIVE_OBS_DISABLED)
-  // Spans exist only when the macro path is compiled in; the metrics
-  // and byte-identity checks above hold in both modes.
   EXPECT_NE(one.find("codec.encode"), std::string::npos);
-#endif
 }
 
 // --------------------------------------------------- frame causality

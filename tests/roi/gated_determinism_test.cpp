@@ -4,8 +4,7 @@
 // scheduler worker count, or batch interleaving. The gate plans at
 // admission and runs at dispatch, both in per-session frame order, and
 // its held-box state advances strictly in run order; this suite is what
-// holds that contract (and CI runs it on every SIMD dispatch leg, so
-// the kernels cannot leak into gating decisions either).
+// holds that contract.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -69,14 +68,14 @@ TEST(GatedDeterminism, InvariantAcrossThreadsWorkersAndBatching) {
 }
 
 TEST(GatedDeterminism, RepeatRunsAreBitIdentical) {
-  // Deliberately inherits the roi_metadata DEFAULT instead of pinning it:
-  // CI runs this label with DIVE_ROI_METADATA=0 and =1, so this test
-  // locks repeat-run determinism for whichever lane the leg selects.
-  ServeScenarioOptions opt = gated_scenario();
-  opt.roi_metadata = default_serve_options().roi_metadata;
-  const Digest a(run_serve_scenario(opt));
-  const Digest b(run_serve_scenario(opt));
-  EXPECT_EQ(a, b);
+  // Repeat-run determinism with the metadata lane off and on.
+  for (const bool roi : {false, true}) {
+    ServeScenarioOptions opt = gated_scenario();
+    opt.roi_metadata = roi;
+    const Digest a(run_serve_scenario(opt));
+    const Digest b(run_serve_scenario(opt));
+    EXPECT_EQ(a, b) << "roi_metadata=" << roi;
+  }
 }
 
 TEST(GatedDeterminism, MetadataLaneOffMatchesPreRoiBehavior) {

@@ -292,76 +292,96 @@ TEST(Session, DecodersAreIsolatedAcrossSessions) {
 
 // ----------------------------------------------------------------- Scenario
 
-harness::ServeScenarioOptions small_scenario(int sessions) {
+/// Small scenario with the RoI metadata lane off or on; every scenario
+/// test below runs under both lanes.
+harness::ServeScenarioOptions small_scenario(int sessions, bool roi) {
   harness::ServeScenarioOptions opt = harness::default_serve_options();
   opt.sessions = sessions;
   opt.frames_per_session = 8;
   opt.width = 128;
   opt.height = 80;
   opt.clip_pool = 1;
+  opt.roi_metadata = roi;
   return opt;
 }
 
+constexpr bool kRoiLanes[] = {false, true};
+
 TEST(ServeScenario, SameSeedReproducesIdenticalMetrics) {
-  const auto opt = small_scenario(2);
-  const auto a = harness::run_serve_scenario(opt);
-  const auto b = harness::run_serve_scenario(opt);
-  EXPECT_DOUBLE_EQ(a.aggregate_map, b.aggregate_map);
-  EXPECT_DOUBLE_EQ(a.mean_e2e_ms, b.mean_e2e_ms);
-  EXPECT_DOUBLE_EQ(a.p95_e2e_ms, b.p95_e2e_ms);
-  EXPECT_DOUBLE_EQ(a.mean_wait_ms, b.mean_wait_ms);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.dropped_queue, b.dropped_queue);
-  EXPECT_EQ(a.dropped_deadline, b.dropped_deadline);
-  EXPECT_EQ(a.dropped_uplink, b.dropped_uplink);
+  for (const bool roi : kRoiLanes) {
+    SCOPED_TRACE(roi ? "roi on" : "roi off");
+    const auto opt = small_scenario(2, roi);
+    const auto a = harness::run_serve_scenario(opt);
+    const auto b = harness::run_serve_scenario(opt);
+    EXPECT_DOUBLE_EQ(a.aggregate_map, b.aggregate_map);
+    EXPECT_DOUBLE_EQ(a.mean_e2e_ms, b.mean_e2e_ms);
+    EXPECT_DOUBLE_EQ(a.p95_e2e_ms, b.p95_e2e_ms);
+    EXPECT_DOUBLE_EQ(a.mean_wait_ms, b.mean_wait_ms);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.dropped_queue, b.dropped_queue);
+    EXPECT_EQ(a.dropped_deadline, b.dropped_deadline);
+    EXPECT_EQ(a.dropped_uplink, b.dropped_uplink);
+  }
 }
 
 TEST(ServeScenario, IdenticalSessionsAreServedFairly) {
   // Two agents, same clip, ample capacity: identical inputs must yield
   // identical per-session outcomes (FIFO + phase offsets cannot starve
   // either session).
-  const auto r = harness::run_serve_scenario(small_scenario(2));
-  ASSERT_EQ(r.sessions.size(), 2u);
-  EXPECT_EQ(r.sessions[0].offloaded, r.sessions[1].offloaded);
-  EXPECT_DOUBLE_EQ(r.sessions[0].map, r.sessions[1].map);
-  EXPECT_NEAR(r.sessions[0].mean_e2e_ms, r.sessions[1].mean_e2e_ms, 5.0);
-  EXPECT_EQ(r.dropped_queue + r.dropped_deadline + r.dropped_uplink, 0);
-  EXPECT_DOUBLE_EQ(r.offload_fraction, 1.0);
+  for (const bool roi : kRoiLanes) {
+    SCOPED_TRACE(roi ? "roi on" : "roi off");
+    const auto r = harness::run_serve_scenario(small_scenario(2, roi));
+    ASSERT_EQ(r.sessions.size(), 2u);
+    EXPECT_EQ(r.sessions[0].offloaded, r.sessions[1].offloaded);
+    EXPECT_DOUBLE_EQ(r.sessions[0].map, r.sessions[1].map);
+    EXPECT_NEAR(r.sessions[0].mean_e2e_ms, r.sessions[1].mean_e2e_ms, 5.0);
+    EXPECT_EQ(r.dropped_queue + r.dropped_deadline + r.dropped_uplink, 0);
+    EXPECT_DOUBLE_EQ(r.offload_fraction, 1.0);
+  }
 }
 
 TEST(ServeScenario, OverloadDegradesGracefully) {
   // One slow worker against 8 agents: the node must shed load through
   // admission control (MOT fallbacks), keep queues bounded, and finish.
-  harness::ServeScenarioOptions opt = small_scenario(8);
-  opt.node.scheduler.workers = 1;
-  opt.node.scheduler.max_batch = 1;
-  opt.node.session.deadline = from_millis(150.0);
-  const auto r = harness::run_serve_scenario(opt);
+  for (const bool roi : kRoiLanes) {
+    SCOPED_TRACE(roi ? "roi on" : "roi off");
+    harness::ServeScenarioOptions opt = small_scenario(8, roi);
+    opt.node.scheduler.workers = 1;
+    opt.node.scheduler.max_batch = 1;
+    opt.node.session.deadline = from_millis(150.0);
+    const auto r = harness::run_serve_scenario(opt);
 
-  EXPECT_EQ(r.frames, 64);
-  EXPECT_GT(r.dropped_queue + r.dropped_deadline, 0);
-  EXPECT_GT(r.mot, 0);
-  EXPECT_EQ(r.completed + r.mot, r.frames);
-  EXPECT_LT(r.offload_fraction, 1.0);
-  // Bounded queues: depth at admission never exceeded the configured cap.
-  EXPECT_LE(r.metrics.aggregate().queue_depth.max(),
-            static_cast<double>(opt.node.admission.max_queue));
-  // Overloaded sessions still produce usable detections via MOT.
-  EXPECT_GT(r.aggregate_map, 0.0);
+    EXPECT_EQ(r.frames, 64);
+    EXPECT_GT(r.dropped_queue + r.dropped_deadline, 0);
+    EXPECT_GT(r.mot, 0);
+    EXPECT_EQ(r.completed + r.mot, r.frames);
+    EXPECT_LT(r.offload_fraction, 1.0);
+    // Bounded queues: depth at admission never exceeded the configured
+    // cap.
+    EXPECT_LE(r.metrics.aggregate().queue_depth.max(),
+              static_cast<double>(opt.node.admission.max_queue));
+    // Overloaded sessions still produce usable detections via MOT.
+    EXPECT_GT(r.aggregate_map, 0.0);
+  }
 }
 
 TEST(ServeScenario, BatchingRaisesSustainableLoad) {
   // Same demand, same worker pool: batching serves strictly more frames
-  // at the edge than the unbatched node once the pool saturates.
-  harness::ServeScenarioOptions batched = small_scenario(8);
-  batched.node.scheduler.workers = 1;
-  harness::ServeScenarioOptions serial = batched;
-  serial.node.scheduler.max_batch = 1;
+  // at the edge than the unbatched node once the pool saturates. A gated
+  // inference costs a fraction of a full-frame one, so the RoI lane
+  // needs twice the agents (16) before one unbatched worker saturates.
+  for (const bool roi : kRoiLanes) {
+    SCOPED_TRACE(roi ? "roi on" : "roi off");
+    harness::ServeScenarioOptions batched = small_scenario(roi ? 16 : 8, roi);
+    batched.node.scheduler.workers = 1;
+    harness::ServeScenarioOptions serial = batched;
+    serial.node.scheduler.max_batch = 1;
 
-  const auto with_batching = harness::run_serve_scenario(batched);
-  const auto without = harness::run_serve_scenario(serial);
-  EXPECT_GT(with_batching.completed, without.completed);
-  EXPECT_GT(with_batching.mean_batch, 1.0);
+    const auto with_batching = harness::run_serve_scenario(batched);
+    const auto without = harness::run_serve_scenario(serial);
+    EXPECT_GT(with_batching.completed, without.completed);
+    EXPECT_GT(with_batching.mean_batch, 1.0);
+  }
 }
 
 // ------------------------------------------------------------ ServeMetrics
@@ -455,24 +475,27 @@ TEST(ServeMetrics, PublishHandlesZeroSessions) {
 }
 
 TEST(ServeScenario, ObsContextCollectsSpansAndMetrics) {
-  obs::ObsContext ctx;
-  ctx.tracer.set_enabled(true);
-  harness::ServeScenarioOptions opt = small_scenario(2);
-  opt.obs = &ctx;
-  const auto r = harness::run_serve_scenario(opt);
+  for (const bool roi : kRoiLanes) {
+    SCOPED_TRACE(roi ? "roi on" : "roi off");
+    obs::ObsContext ctx;
+    ctx.tracer.set_enabled(true);
+    harness::ServeScenarioOptions opt = small_scenario(2, roi);
+    opt.obs = &ctx;
+    const auto r = harness::run_serve_scenario(opt);
 
-  // drain() published the node's metrics into the shared registry...
-  EXPECT_EQ(ctx.metrics.counter("serve.completed").value(), r.completed);
-  // ...and every completed inference left a span on its session track.
-  std::size_t infer_spans = 0;
-  for (const auto& ev : ctx.tracer.snapshot()) {
-    if (ev.name == "serve.infer") {
-      ++infer_spans;
-      EXPECT_GE(ev.track, obs::kTrackSessionBase);
-      EXPECT_GE(ev.sim_end, ev.sim_begin);
+    // drain() published the node's metrics into the shared registry...
+    EXPECT_EQ(ctx.metrics.counter("serve.completed").value(), r.completed);
+    // ...and every completed inference left a span on its session track.
+    std::size_t infer_spans = 0;
+    for (const auto& ev : ctx.tracer.snapshot()) {
+      if (ev.name == "serve.infer") {
+        ++infer_spans;
+        EXPECT_GE(ev.track, obs::kTrackSessionBase);
+        EXPECT_GE(ev.sim_end, ev.sim_begin);
+      }
     }
+    EXPECT_EQ(infer_spans, static_cast<std::size_t>(r.completed));
   }
-  EXPECT_EQ(infer_spans, static_cast<std::size_t>(r.completed));
 }
 
 }  // namespace

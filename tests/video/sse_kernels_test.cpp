@@ -7,10 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <string_view>
 #include <vector>
 
+#include "util/cpu_isa.h"
 #include "util/rng.h"
 #include "video/frame.h"
 #include "video/image_ops.h"
@@ -40,12 +39,12 @@ double reference_sse(const std::uint8_t* a, const std::uint8_t* b,
 }
 
 TEST(SseKernels, DispatchReportsAKernel) {
-  const SseKernel k = active_sse_kernel();
-  EXPECT_NE(to_string(k), nullptr);
+  EXPECT_STRNE(util::to_string(util::detected_isa()), "?");
   EXPECT_NE(sse_u8_fn(), nullptr);
-  const char* force = std::getenv("DIVE_FORCE_SCALAR");
-  if (force != nullptr && std::string_view(force) != "0")
-    EXPECT_EQ(k, SseKernel::kScalar);
+  EXPECT_EQ(sse_u8_fn(), sse_u8_fn());
+  if (util::detected_isa() == util::Isa::kScalar) {
+    EXPECT_EQ(sse_u8_fn(), &sse_u8_scalar);
+  }
 }
 
 TEST(SseKernels, MatchesScalarOnRandomBuffers) {
@@ -57,7 +56,7 @@ TEST(SseKernels, MatchesScalarOnRandomBuffers) {
     const auto b = random_buffer(n, 900 + static_cast<std::uint64_t>(trial));
     const std::uint64_t want = sse_u8_scalar(a.data(), b.data(), n);
     ASSERT_EQ(fast(a.data(), b.data(), n), want)
-        << "kernel=" << to_string(active_sse_kernel()) << " n=" << n;
+        << "kernel=" << util::to_string(util::detected_isa()) << " n=" << n;
     ASSERT_EQ(static_cast<double>(want), reference_sse(a.data(), b.data(), n));
   }
 }
