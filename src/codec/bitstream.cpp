@@ -11,7 +11,6 @@ void BitWriter::put_bit(bool bit) {
     cur_ = 0;
     cur_bits_ = 0;
   }
-  ++bit_count_;
 }
 
 void BitWriter::put_bits(std::uint32_t value, int count) {

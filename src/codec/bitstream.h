@@ -23,8 +23,6 @@ class BitWriter {
   /// Pads the final partial byte with zeros and returns the buffer.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
-  [[nodiscard]] std::size_t bit_count() const { return bit_count_; }
-
   /// Size in bits of the Exp-Golomb code for `value` — used by motion
   /// search for rate-aware cost.
   static int ue_bits(std::uint32_t value);
@@ -34,7 +32,6 @@ class BitWriter {
   std::vector<std::uint8_t> bytes_;
   std::uint8_t cur_ = 0;
   int cur_bits_ = 0;
-  std::size_t bit_count_ = 0;
 };
 
 class BitstreamError : public std::runtime_error {

@@ -165,12 +165,11 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
     roi::GatePlan plan;
     {
       DIVE_OBS_SPAN(span, obs, "agent.edge_infer", obs::kTrackAgent);
-      if (config_.roi_metadata) {
-        inference = gate_.process(encoded.data, &meta, tx.arrival, &plan);
-        span.arg("gated", plan.gated ? 1 : 0);
-      } else {
-        inference = server_->process(encoded.data, tx.arrival);
-      }
+      // Without the sidecar the gate plans the full frame.
+      inference = gate_.process(encoded.data,
+                                config_.roi_metadata ? &meta : nullptr,
+                                tx.arrival, &plan);
+      span.arg("gated", plan.gated ? 1 : 0);
     }
     last_detections_ = inference.detections;
     outcome.detections = inference.detections;

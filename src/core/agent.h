@@ -78,8 +78,6 @@ class DiveAgent final : public AnalyticsScheme {
   }
   [[nodiscard]] int last_background_delta() const { return last_delta_; }
 
-  [[nodiscard]] const roi::RoiGate& gate() const { return gate_; }
-
  private:
   DiveConfig config_;
   codec::Encoder encoder_;
@@ -92,7 +90,7 @@ class DiveAgent final : public AnalyticsScheme {
   QpAssigner qp_assigner_;
   BandwidthEstimator bandwidth_;
   OfflineTracker tracker_;
-  roi::RoiGate gate_;  ///< wraps server_; used only with roi_metadata
+  roi::RoiGate gate_;  ///< wraps server_; plans full frames without a sidecar
 
   edge::DetectionList last_detections_;
   PreprocessResult last_pre_;

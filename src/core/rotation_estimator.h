@@ -4,7 +4,7 @@
 // unknown depth from the combined MV model (Eq. 6) yields one linear
 // equation per motion vector in the two rotational speeds (Eq. 7):
 //     (x f) dphi_x + (y f) dphi_y = y*vx - x*vy .
-// The estimator picks the k motion vectors closest to the calibrated FOE
+// The estimator picks the k motion vectors closest to the FOE
 // ("R-sampling": those MVs have the smallest translational component and
 // are the most rotation-sensitive) and solves the over-determined system
 // with RANSAC.
@@ -29,7 +29,7 @@ enum class SamplingPolicy {
 struct RotationEstimatorConfig {
   SamplingPolicy policy = SamplingPolicy::kRSampling;
   int sample_count = 70;  ///< k; the paper settles on 70 (Fig. 10)
-  geom::Vec2 foe{0.0, 0.0};  ///< calibrated FOE, centered coordinates
+  geom::Vec2 foe{0.0, 0.0};  ///< FOE, centered coordinates (principal point)
   /// RANSAC knobs: residual is the tangential MV mismatch in pixels.
   int ransac_iterations = 80;
   double inlier_threshold_px = 1.0;

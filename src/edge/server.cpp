@@ -1,5 +1,7 @@
 #include "edge/server.h"
 
+#include <cmath>
+
 #include "obs/obs.h"
 
 namespace dive::edge {
@@ -10,29 +12,32 @@ InferenceResult EdgeServer::process(std::span<const std::uint8_t> data,
   codec::DecodedFrame decoded = decoder_.decode(data);
   result.decoded = std::move(decoded.frame);
   result.detections = detector_.detect(result.decoded);
+  result.result_at_agent = respond(arrival, result.detections.size());
+  return result;
+}
 
-  const util::SimTime jitter = inference_jitter(processed_++);
-  result.result_at_agent = arrival + config_.decode_latency +
-                           config_.inference_latency + jitter +
-                           config_.downlink_delay;
+util::SimTime EdgeServer::respond(util::SimTime arrival,
+                                  std::size_t detections, double work) {
+  const util::SimTime inference = static_cast<util::SimTime>(std::llround(
+      static_cast<double>(config_.inference_latency) * work));
+  const util::SimTime served = arrival + config_.decode_latency + inference +
+                               inference_jitter(processed_++);
+  const util::SimTime result_at_agent = served + config_.downlink_delay;
 
   if (obs_ != nullptr) {
     obs_->metrics.counter("edge.frames").add();
     obs_->metrics.counter("edge.detections")
-        .add(static_cast<std::int64_t>(result.detections.size()));
+        .add(static_cast<std::int64_t>(detections));
     obs_->metrics.distribution("edge.service_ms", "ms")
-        .add(util::to_millis(result.result_at_agent - arrival));
-    const util::SimTime served =
-        result.result_at_agent - config_.downlink_delay;
+        .add(util::to_millis(result_at_agent - arrival));
     const std::uint64_t flow = frame_ctx_.flow_id();
-    obs_->tracer.span_at(
-        "edge.process", obs::kTrackEdge, arrival, served,
-        {{"detections", static_cast<long long>(result.detections.size())}},
-        flow);
+    obs_->tracer.span_at("edge.process", obs::kTrackEdge, arrival, served,
+                         {{"detections", static_cast<long long>(detections)}},
+                         flow);
     obs_->tracer.span_at("edge.downlink", obs::kTrackEdge, served,
-                         result.result_at_agent, {}, flow);
+                         result_at_agent, {}, flow);
   }
-  return result;
+  return result_at_agent;
 }
 
 DetectionList EdgeServer::decode_and_detect(

@@ -50,10 +50,21 @@ class EdgeServer {
       : config_(config), detector_(config.detector), rng_(seed) {}
 
   /// Decodes an uploaded frame that arrived at `arrival`, runs the
-  /// detector, and reports when the result lands back on the agent. The
-  /// jitter applied is inference_jitter(k) for the k-th process() call.
+  /// detector on the full frame, and reports when the result lands back
+  /// on the agent (respond() with work 1).
   InferenceResult process(std::span<const std::uint8_t> data,
                           util::SimTime arrival);
+
+  /// The latency model of one served frame that arrived at `arrival` and
+  /// produced `detections` boxes: the result reaches the agent at
+  /// arrival + decode + inference * work + jitter + downlink, where
+  /// `work` scales inference (1 = full frame, less when RoI gating ran
+  /// the detector on part of it) and the jitter is inference_jitter(k)
+  /// for the k-th call. Records the edge.* metrics and the edge.process
+  /// and edge.downlink spans. process() and roi::RoiGate::process() both
+  /// end here, once per frame.
+  util::SimTime respond(util::SimTime arrival, std::size_t detections,
+                        double work = 1.0);
 
   /// Decodes + detects without applying the latency model (and without
   /// consuming jitter): the serving layer schedules decode/inference
@@ -64,12 +75,6 @@ class EdgeServer {
   /// without detecting and without the latency model. RoI gating decodes
   /// through this and then drives the detector itself on masked frames.
   codec::DecodedFrame decode(std::span<const std::uint8_t> data);
-
-  /// Consumes one value from the sequential jitter stream — exactly what
-  /// process() does internally for its k-th call. A gating front-end that
-  /// replaces process() calls this once per frame so the (seed, k)
-  /// pairing, and thus every downstream timestamp, is unchanged.
-  util::SimTime take_jitter() { return inference_jitter(processed_++); }
 
   /// Inference jitter of the k-th frame — a pure function of (seed, k),
   /// uniform in [-inference_jitter_ms, +inference_jitter_ms]. See the
@@ -85,7 +90,7 @@ class EdgeServer {
   [[nodiscard]] const ChromaDetector& detector() const { return detector_; }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
   [[nodiscard]] bool has_reference() const { return decoder_.has_reference(); }
-  /// Frames consumed through process() (decode_and_detect not counted;
+  /// Frames consumed through respond() (decode_and_detect not counted;
   /// the serving layer indexes jitter by its own per-session counter).
   [[nodiscard]] std::uint64_t frames_processed() const { return processed_; }
 
@@ -94,7 +99,7 @@ class EdgeServer {
   /// spanning arrival -> result-at-agent (simulated time).
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
 
-  /// Causal identity of the frame the next process() call serves: its
+  /// Causal identity of the frame the next respond() call serves: its
   /// edge spans join the frame's flow and its inference/result stages
   /// land in the ledger. Set per frame by the agent; an invalid (default)
   /// context observes nothing extra.

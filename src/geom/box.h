@@ -45,14 +45,6 @@ struct Box {
     return {std::max(x0, o.x0), std::max(y0, o.y0), std::min(x1, o.x1),
             std::min(y1, o.y1)};
   }
-
-  /// Smallest box containing both (ignores empty operands).
-  [[nodiscard]] Box unite(const Box& o) const {
-    if (empty()) return o;
-    if (o.empty()) return *this;
-    return {std::min(x0, o.x0), std::min(y0, o.y0), std::max(x1, o.x1),
-            std::max(y1, o.y1)};
-  }
 };
 
 /// Intersection-over-union; 0 when either box is empty.

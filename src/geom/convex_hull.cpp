@@ -33,47 +33,6 @@ std::vector<Vec2> convex_hull(std::vector<Vec2> pts) {
   return hull;
 }
 
-std::vector<Vec2> sklansky_hull(const std::vector<Vec2>& polygon) {
-  const std::size_t n = polygon.size();
-  if (n < 3) return polygon;
-
-  // Determine orientation so the convexity test has a consistent sign.
-  double area2 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec2 a = polygon[i];
-    const Vec2 b = polygon[(i + 1) % n];
-    area2 += a.cross(b);
-  }
-  const double sign = area2 >= 0.0 ? 1.0 : -1.0;
-
-  // Start from the leftmost-lowest vertex, which is guaranteed on the hull.
-  std::size_t start = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (polygon[i].x < polygon[start].x ||
-        (polygon[i].x == polygon[start].x && polygon[i].y < polygon[start].y))
-      start = i;
-  }
-
-  std::vector<Vec2> stack;
-  stack.reserve(n);
-  for (std::size_t step = 0; step <= n; ++step) {
-    const Vec2 p = polygon[(start + step) % n];
-    while (stack.size() >= 2 &&
-           sign * cross3(stack[stack.size() - 2], stack.back(), p) <= 0.0) {
-      stack.pop_back();
-    }
-    if (step < n) stack.push_back(p);
-  }
-  // The wrap-around step may have exposed a concavity at the seam; one
-  // final sweep from the anchor removes it.
-  while (stack.size() >= 3 &&
-         sign * cross3(stack[stack.size() - 2], stack.back(), stack[0]) <=
-             0.0) {
-    stack.pop_back();
-  }
-  return stack;
-}
-
 double polygon_area(const std::vector<Vec2>& polygon) {
   const std::size_t n = polygon.size();
   if (n < 3) return 0.0;

@@ -26,14 +26,4 @@ double residual(const LinearRow2& row, Vec2 s) {
   return std::abs(row.a * s.x + row.b * s.y - row.c);
 }
 
-double rms_residual(std::span<const LinearRow2> rows, Vec2 s) {
-  if (rows.empty()) return 0.0;
-  double acc = 0.0;
-  for (const auto& r : rows) {
-    const double e = residual(r, s);
-    acc += e * e;
-  }
-  return std::sqrt(acc / static_cast<double>(rows.size()));
-}
-
 }  // namespace dive::geom

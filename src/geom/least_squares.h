@@ -29,7 +29,4 @@ std::optional<Vec2> solve_least_squares_2(std::span<const LinearRow2> rows);
 /// Residual |a*u + b*v - c| of one row at a candidate solution.
 double residual(const LinearRow2& row, Vec2 solution);
 
-/// Root-mean-square residual over all rows.
-double rms_residual(std::span<const LinearRow2> rows, Vec2 solution);
-
 }  // namespace dive::geom

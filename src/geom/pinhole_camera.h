@@ -34,11 +34,6 @@ struct CameraPose {
   [[nodiscard]] Vec3 world_to_camera(Vec3 p_world) const {
     return camera_to_world().transpose() * (p_world - position);
   }
-
-  /// Transform a camera-frame point into the world.
-  [[nodiscard]] Vec3 camera_to_world_point(Vec3 p_cam) const {
-    return camera_to_world() * p_cam + position;
-  }
 };
 
 class PinholeCamera {
@@ -58,11 +53,6 @@ class PinholeCamera {
     return Vec2{f_ * p_cam.x / p_cam.z, f_ * p_cam.y / p_cam.z};
   }
 
-  /// Back-project a centered image point at depth Z into the camera frame.
-  [[nodiscard]] Vec3 back_project(Vec2 img, double depth) const {
-    return {img.x * depth / f_, img.y * depth / f_, depth};
-  }
-
   /// Centered image coords -> pixel coords (origin at top-left).
   [[nodiscard]] Vec2 to_pixel(Vec2 centered) const {
     return {centered.x + width_ / 2.0, centered.y + height_ / 2.0};
@@ -76,11 +66,6 @@ class PinholeCamera {
     return pixel.x >= 0.0 && pixel.x < width_ && pixel.y >= 0.0 &&
            pixel.y < height_;
   }
-
-  /// A camera with the same field of view at a different resolution
-  /// (focal length scales with width). Used to run the evaluation at
-  /// reduced resolution while preserving projective geometry.
-  [[nodiscard]] PinholeCamera scaled_to(int new_width, int new_height) const;
 
  private:
   double f_;

@@ -1,6 +1,5 @@
 #include "geom/polygon.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace dive::geom {
@@ -35,28 +34,6 @@ bool point_in_polygon(Vec2 p, const std::vector<Vec2>& poly) {
     }
   }
   return inside;
-}
-
-Box polygon_bounds(const std::vector<Vec2>& polygon) {
-  return bounding_box(polygon);
-}
-
-std::vector<std::pair<int, int>> rasterize_polygon(
-    const std::vector<Vec2>& polygon, int grid_w, int grid_h) {
-  std::vector<std::pair<int, int>> cells;
-  if (polygon.size() < 3) return cells;
-  const Box b = polygon_bounds(polygon);
-  const int cx0 = std::max(0, static_cast<int>(std::floor(b.x0)));
-  const int cy0 = std::max(0, static_cast<int>(std::floor(b.y0)));
-  const int cx1 = std::min(grid_w - 1, static_cast<int>(std::ceil(b.x1)));
-  const int cy1 = std::min(grid_h - 1, static_cast<int>(std::ceil(b.y1)));
-  for (int cy = cy0; cy <= cy1; ++cy) {
-    for (int cx = cx0; cx <= cx1; ++cx) {
-      const Vec2 center{cx + 0.5, cy + 0.5};
-      if (point_in_polygon(center, polygon)) cells.emplace_back(cx, cy);
-    }
-  }
-  return cells;
 }
 
 }  // namespace dive::geom

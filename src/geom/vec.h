@@ -64,8 +64,6 @@ constexpr Vec3 operator*(double s, Vec3 v) { return v * s; }
 struct Mat3 {
   double m[3][3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
 
-  static constexpr Mat3 identity() { return {}; }
-
   /// Rotation about the x-axis (pitch), right-handed, radians.
   static Mat3 rot_x(double a) {
     Mat3 r;
@@ -80,14 +78,6 @@ struct Mat3 {
     const double c = std::cos(a), s = std::sin(a);
     r.m[0][0] = c; r.m[0][2] = s;
     r.m[2][0] = -s; r.m[2][2] = c;
-    return r;
-  }
-  /// Rotation about the z-axis (roll).
-  static Mat3 rot_z(double a) {
-    Mat3 r;
-    const double c = std::cos(a), s = std::sin(a);
-    r.m[0][0] = c; r.m[0][1] = -s;
-    r.m[1][0] = s; r.m[1][1] = c;
     return r;
   }
 

@@ -13,11 +13,10 @@ Uplink::Uplink(std::shared_ptr<const BandwidthTrace> trace,
   if (trace_ == nullptr) throw std::invalid_argument("Uplink: null trace");
 }
 
-/// Metric/span/ledger bookkeeping shared by both transmit paths;
-/// everything is computed from simulated timestamps, so observation is
-/// deterministic.
-TransmitResult Uplink::record(const char* span_name, const TransmitResult& r,
-                              double bytes, util::SimTime enqueue_time,
+/// Metric/span/ledger bookkeeping of one transmission; everything is
+/// computed from simulated timestamps, so observation is deterministic.
+TransmitResult Uplink::record(const TransmitResult& r, double bytes,
+                              util::SimTime enqueue_time,
                               const obs::FrameTraceContext* trace) {
   if (obs_ == nullptr) return r;
   auto& m = obs_->metrics;
@@ -32,7 +31,7 @@ TransmitResult Uplink::record(const char* span_name, const TransmitResult& r,
         .add(static_cast<std::int64_t>(bytes));
     m.distribution("net.transmit_ms", "ms")
         .add(util::to_millis(r.sent_complete - r.started));
-    obs_->tracer.span_at(span_name, obs::kTrackNet, r.started,
+    obs_->tracer.span_at("net.transmit", obs::kTrackNet, r.started,
                          r.sent_complete,
                          {{"bytes", static_cast<long long>(bytes)}}, flow);
   } else {
@@ -54,31 +53,6 @@ TransmitResult Uplink::record(const char* span_name, const TransmitResult& r,
   return r;
 }
 
-TransmitResult Uplink::transmit(double bytes, util::SimTime enqueue_time,
-                                const obs::FrameTraceContext* trace) {
-  const util::SimTime start = std::max(enqueue_time, busy_until_);
-  // A generous horizon: nothing in the evaluation waits more than minutes.
-  const util::SimTime horizon = start + 600 * util::kMicrosPerSec;
-  const util::SimTime complete =
-      trace_->time_to_send(start, bytes, horizon + 1);
-  if (complete > horizon) {
-    // The trace cannot move the data inside the horizon (an outage longer
-    // than the horizon): report the failure instead of fabricating a
-    // horizon-clamped completion time (mirrors transmit_with_timeout).
-    TransmitResult r;
-    r.delivered = false;
-    r.started = start;
-    r.gave_up_at = horizon;
-    busy_until_ = std::max(busy_until_, horizon);
-    return record("net.transmit", r, bytes, enqueue_time, trace);
-  }
-  busy_until_ = complete;
-  return record("net.transmit",
-                {true, start, complete, complete + config_.propagation_delay,
-                 0},
-                bytes, enqueue_time, trace);
-}
-
 TransmitResult Uplink::transmit_with_timeout(
     double bytes, util::SimTime enqueue_time,
     const obs::FrameTraceContext* trace) {
@@ -93,17 +67,12 @@ TransmitResult Uplink::transmit_with_timeout(
     r.gave_up_at = deadline;
     // Dropped frame: the radio is idle again from the moment we gave up.
     busy_until_ = std::max(busy_until_, deadline);
-    return record("net.transmit", r, bytes, enqueue_time, trace);
+    return record(r, bytes, enqueue_time, trace);
   }
   busy_until_ = complete;
-  return record("net.transmit",
-                {true, head_time, complete,
-                 complete + config_.propagation_delay, 0},
-                bytes, enqueue_time, trace);
-}
-
-double Uplink::capacity_between(util::SimTime t0, util::SimTime t1) const {
-  return trace_->bytes_between(t0, t1);
+  return record(
+      {true, head_time, complete, complete + config_.propagation_delay, 0},
+      bytes, enqueue_time, trace);
 }
 
 }  // namespace dive::net

@@ -42,27 +42,17 @@ class Uplink {
   Uplink(std::shared_ptr<const BandwidthTrace> trace, UplinkConfig config);
 
   /// Transmits `bytes` enqueued at `enqueue_time`; the link serializes
-  /// after any earlier traffic completes. Patience is bounded by a 600 s
-  /// horizon: when the trace cannot move the data inside it (an extreme
-  /// outage), the result reports `delivered == false` with `gave_up_at`
-  /// set to the horizon rather than a fabricated completion time.
+  /// after any earlier traffic completes. When the head-of-line timer
+  /// (config.head_timeout, counted from the moment the frame reaches the
+  /// queue head) expires first, the result reports `delivered == false`
+  /// with `gave_up_at` at the expiry, the frame is dropped and the link
+  /// is left idle (real stacks flush the socket on outage detection).
   /// `trace` (optional) ties the transmission to a frame: the uplink
   /// span joins the frame's flow and the queue/serialize/propagation
   /// intervals are recorded into the context's FrameLedger.
-  TransmitResult transmit(double bytes, util::SimTime enqueue_time,
-                          const obs::FrameTraceContext* trace = nullptr);
-
-  /// Transmits unless the head-of-line timer (config.head_timeout)
-  /// expires first; on expiry the frame is dropped and the link is left
-  /// idle (real stacks flush the socket on outage detection).
   TransmitResult transmit_with_timeout(
       double bytes, util::SimTime enqueue_time,
       const obs::FrameTraceContext* trace = nullptr);
-
-  /// Bytes the link could move in [t0, t1) — used by tests and by
-  /// bandwidth-estimator ground truth.
-  [[nodiscard]] double capacity_between(util::SimTime t0,
-                                        util::SimTime t1) const;
 
   [[nodiscard]] util::SimTime busy_until() const { return busy_until_; }
   [[nodiscard]] const UplinkConfig& config() const { return config_; }
@@ -73,8 +63,8 @@ class Uplink {
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
 
  private:
-  TransmitResult record(const char* span_name, const TransmitResult& r,
-                        double bytes, util::SimTime enqueue_time,
+  TransmitResult record(const TransmitResult& r, double bytes,
+                        util::SimTime enqueue_time,
                         const obs::FrameTraceContext* trace);
 
   std::shared_ptr<const BandwidthTrace> trace_;

@@ -317,16 +317,11 @@ edge::InferenceResult RoiGate::process(std::span<const std::uint8_t> data,
   GatePlan p = plan(meta, decoded.frame.width(), decoded.frame.height());
   GatedDetections gated = infer(decoded.frame, meta, p);
 
-  const auto& sc = server_->config();
-  const util::SimTime inference = static_cast<util::SimTime>(std::llround(
-      static_cast<double>(sc.inference_latency) * p.work));
-  const util::SimTime jitter = server_->take_jitter();
-
   edge::InferenceResult result;
   result.decoded = std::move(decoded.frame);
   result.detections = std::move(gated.detections);
   result.result_at_agent =
-      arrival + sc.decode_latency + inference + jitter + sc.downlink_delay;
+      server_->respond(arrival, result.detections.size(), p.work);
   if (plan_out != nullptr) *plan_out = p;
   return result;
 }

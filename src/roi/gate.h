@@ -139,10 +139,11 @@ class RoiGate {
   GatedDetections run(std::span<const std::uint8_t> data,
                       const RoiMetadata* meta, const GatePlan& plan);
 
-  /// Drop-in replacement for EdgeServer::process(): same latency model
-  /// and the SAME sequential jitter stream (EdgeServer::take_jitter), but
-  /// inference latency scaled by the plan's work fraction. Plans
-  /// internally; `plan_out`, when given, receives the plan used.
+  /// Drop-in replacement for EdgeServer::process(): decodes, plans,
+  /// infers, and applies the server's latency model
+  /// (EdgeServer::respond) with inference scaled by the plan's work
+  /// fraction. A null `meta` plans the full frame, which matches
+  /// process(). `plan_out`, when given, receives the plan used.
   edge::InferenceResult process(std::span<const std::uint8_t> data,
                                 const RoiMetadata* meta, util::SimTime arrival,
                                 GatePlan* plan_out = nullptr);

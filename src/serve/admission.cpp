@@ -16,9 +16,8 @@ AdmissionVerdict AdmissionController::decide(
     util::SimTime predicted_done, util::SimTime downlink_delay) const {
   if (session.queue_depth() >= config_.max_queue)
     return AdmissionVerdict::kQueueFull;
-  if (config_.deadline_aware &&
-      predicted_done + downlink_delay >
-          capture_time + session.config().deadline) {
+  if (predicted_done + downlink_delay >
+      capture_time + session.config().deadline) {
     return AdmissionVerdict::kDeadline;
   }
   return AdmissionVerdict::kAdmit;

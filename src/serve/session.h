@@ -47,7 +47,6 @@ class Session {
   /// through it at submission and runs it at dispatch, both in
   /// per-session frame order, so gated results are schedule-independent.
   [[nodiscard]] roi::RoiGate& gate() { return gate_; }
-  [[nodiscard]] const roi::RoiGate& gate() const { return gate_; }
 
   /// Frames currently admitted but not yet dispatched to a worker — the
   /// quantity the admission controller bounds.

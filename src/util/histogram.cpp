@@ -32,10 +32,6 @@ void Histogram::add(double x) {
   ++total_;
 }
 
-double Histogram::bin_center(std::size_t i) const {
-  return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
 double Histogram::bin_lower(std::size_t i) const {
   return lo_ + static_cast<double>(i) * width_;
 }

@@ -24,8 +24,6 @@ class Histogram {
   [[nodiscard]] std::size_t nan_count() const { return nan_count_; }
   [[nodiscard]] const std::vector<std::size_t>& counts() const { return counts_; }
 
-  /// Center value of bin `i`.
-  [[nodiscard]] double bin_center(std::size_t i) const;
   /// Lower edge of bin `i`.
   [[nodiscard]] double bin_lower(std::size_t i) const;
   [[nodiscard]] double bin_width() const { return width_; }

@@ -28,16 +28,12 @@ class Rng {
   double gaussian(double mean, double stddev);
   /// Bernoulli trial.
   bool chance(double p);
-  /// Exponentially distributed value with the given mean.
-  double exponential(double mean);
 
   /// Derive an independent generator; distinct `stream` values give
   /// distinct sequences for the same parent seed.
   [[nodiscard]] Rng fork(std::uint64_t stream) const;
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
-
-  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;

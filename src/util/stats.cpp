@@ -89,20 +89,4 @@ double SampleSet::cdf_at(double x) const {
          static_cast<double>(samples_.size());
 }
 
-std::vector<std::pair<double, double>> SampleSet::cdf_curve(
-    std::size_t points) const {
-  std::vector<std::pair<double, double>> curve;
-  if (samples_.empty() || points < 2) return curve;
-  ensure_sorted();
-  const double lo = samples_.front();
-  const double hi = samples_.back();
-  curve.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    curve.emplace_back(x, cdf_at(x));
-  }
-  return curve;
-}
-
 }  // namespace dive::util

@@ -35,7 +35,7 @@ class RunningStats {
 /// CDF figures (Fig. 6a, Fig. 7a/b).
 ///
 /// THREAD-SAFETY CONTRACT: the const query methods (quantile, median,
-/// cdf_at, cdf_curve) lazily sort `mutable` state on first use, so two
+/// cdf_at) lazily sort `mutable` state on first use, so two
 /// concurrent const queries on a not-yet-sorted set race on the backing
 /// vector. Either serialize queries, or call sort_samples() once after
 /// the last mutation — after that, const queries only read and are safe
@@ -66,11 +66,6 @@ class SampleSet {
 
   /// Empirical CDF evaluated at x: fraction of samples <= x.
   [[nodiscard]] double cdf_at(double x) const;
-
-  /// (value, cumulative_fraction) pairs at `points` evenly spaced values
-  /// spanning [min, max] — directly plottable as a CDF curve.
-  [[nodiscard]] std::vector<std::pair<double, double>> cdf_curve(
-      std::size_t points = 20) const;
 
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 

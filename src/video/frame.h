@@ -53,15 +53,7 @@ struct Frame {
   [[nodiscard]] int width() const { return y.width; }
   [[nodiscard]] int height() const { return y.height; }
   [[nodiscard]] bool empty() const { return y.data.empty(); }
-  [[nodiscard]] std::size_t byte_size() const {
-    return y.size() + u.size() + v.size();
-  }
   bool operator==(const Frame&) const = default;
-
-  /// Chroma sample co-sited with luma pixel (x, y).
-  [[nodiscard]] std::uint8_t u_at_luma(int x, int y_) const {
-    return u.at_clamped(x / 2, y_ / 2);
-  }
 };
 
 }  // namespace dive::video

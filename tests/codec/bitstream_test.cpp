@@ -54,9 +54,11 @@ TEST(Bitstream, SeRoundTripSweep) {
 
 TEST(Bitstream, SeBitsMatchesActualWidth) {
   for (std::int32_t v : {-100, -5, -1, 0, 1, 7, 99}) {
+    // Eight copies of a code fill exactly se_bits(v) bytes, no padding.
     BitWriter bw;
-    bw.put_se(v);
-    EXPECT_EQ(static_cast<int>(bw.bit_count()), BitWriter::se_bits(v)) << v;
+    for (int i = 0; i < 8; ++i) bw.put_se(v);
+    EXPECT_EQ(static_cast<int>(bw.finish().size()), BitWriter::se_bits(v))
+        << v;
   }
 }
 
@@ -90,13 +92,13 @@ TEST(Bitstream, MalformedUeThrows) {
   EXPECT_THROW(br.get_ue(), BitstreamError);
 }
 
-TEST(Bitstream, BitCountTracksPayload) {
+TEST(Bitstream, FinishPadsFinalByteWithZeros) {
   BitWriter bw;
   bw.put_bit(true);
-  bw.put_bits(0, 5);
-  EXPECT_EQ(bw.bit_count(), 6u);
+  bw.put_bits(0x3, 5);
   const auto data = bw.finish();
-  EXPECT_EQ(data.size(), 1u);  // padded to one byte
+  ASSERT_EQ(data.size(), 1u);  // 6 bits padded to one byte
+  EXPECT_EQ(data[0], 0x8C);    // 1 00011 00
 }
 
 }  // namespace

@@ -109,12 +109,12 @@ TEST(EdgeServer, InferRawBypassesCodec) {
 }
 
 TEST(EdgeServer, ProcessAndSplitPathConsumeJitterIdentically) {
-  // Regression for the serving/gating split: a layer that replaces
-  // process() with decode_and_detect() + take_jitter() (serve::) or with
-  // the RoI gate's decode + infer path must see the SAME jitter for the
-  // k-th frame the server handles. Drive two same-seeded servers down
-  // the two paths over a mixed I/P sequence and require identical
-  // detections, identical jitter, and identical counter advance.
+  // Regression for the gating split: a layer that decodes and detects by
+  // itself and then calls respond() (the RoI gate's path) must see the
+  // SAME jitter for the k-th frame the server handles. Drive two
+  // same-seeded servers down the two paths over a mixed I/P sequence
+  // and require identical detections, identical jitter, and identical
+  // counter advance.
   codec::Encoder enc_a({.width = 128, .height = 64});
   codec::Encoder enc_b({.width = 128, .height = 64});
   ServerConfig cfg;
@@ -132,10 +132,10 @@ TEST(EdgeServer, ProcessAndSplitPathConsumeJitterIdentically) {
     const auto pure = split.inference_jitter(k);  // pure: consumes nothing
     const auto result = monolithic.process(bytes_a, 0);
     const auto dets = split.decode_and_detect(bytes_b);
-    const auto taken = split.take_jitter();
+    const auto responded = split.respond(0, dets.size());
 
-    EXPECT_EQ(taken, pure) << "frame " << k;
-    EXPECT_EQ(result.result_at_agent, nominal + taken) << "frame " << k;
+    EXPECT_EQ(responded, nominal + pure) << "frame " << k;
+    EXPECT_EQ(result.result_at_agent, responded) << "frame " << k;
     ASSERT_EQ(dets.size(), result.detections.size()) << "frame " << k;
     for (std::size_t i = 0; i < dets.size(); ++i) {
       EXPECT_EQ(dets[i].cls, result.detections[i].cls);

@@ -36,14 +36,11 @@ TEST(Box, ShiftAndClip) {
   EXPECT_EQ(c, (Box{0, 3, 5, 10}));
 }
 
-TEST(Box, IntersectAndUnite) {
+TEST(Box, Intersect) {
   const Box a{0, 0, 10, 10};
   const Box b{5, 5, 15, 15};
   EXPECT_EQ(a.intersect(b), (Box{5, 5, 10, 10}));
-  EXPECT_EQ(a.unite(b), (Box{0, 0, 15, 15}));
-  const Box empty{};
-  EXPECT_EQ(a.unite(empty), a);
-  EXPECT_EQ(empty.unite(a), a);
+  EXPECT_TRUE(a.intersect(Box{20, 20, 30, 30}).empty());
 }
 
 TEST(Iou, IdenticalBoxesIsOne) {

@@ -65,39 +65,6 @@ TEST(ConvexHull, RandomPointsPropertyCheck) {
   }
 }
 
-TEST(SklanskyHull, ConvexPolygonUnchanged) {
-  const std::vector<Vec2> square = {{0, 0}, {4, 0}, {4, 4}, {0, 4}};
-  const auto hull = sklansky_hull(square);
-  EXPECT_EQ(hull.size(), 4u);
-  EXPECT_NEAR(polygon_area(hull), 16.0, 1e-12);
-}
-
-TEST(SklanskyHull, RemovesConcavity) {
-  // An arrow-like simple polygon with one reflex vertex.
-  const std::vector<Vec2> arrow = {{0, 0}, {4, 0}, {4, 4}, {2, 1.5}, {0, 4}};
-  const auto hull = sklansky_hull(arrow);
-  EXPECT_EQ(hull.size(), 4u);
-  EXPECT_NEAR(polygon_area(hull), 16.0, 1e-12);
-  for (const auto& v : arrow) EXPECT_TRUE(point_in_polygon(v, hull));
-}
-
-TEST(SklanskyHull, MatchesMonotoneChainOnSimplePolygons) {
-  // Star-shaped simple polygon around the origin.
-  util::Rng rng(4);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<Vec2> poly;
-    const int n = 12;
-    for (int i = 0; i < n; ++i) {
-      const double ang = 2.0 * 3.14159265358979 * i / n;
-      const double r = rng.uniform(2.0, 10.0);
-      poly.push_back({r * std::cos(ang), r * std::sin(ang)});
-    }
-    const auto a = sklansky_hull(poly);
-    const auto b = convex_hull(poly);
-    EXPECT_NEAR(polygon_area(a), polygon_area(b), 1e-9) << "trial " << trial;
-  }
-}
-
 TEST(PolygonArea, Triangle) {
   EXPECT_DOUBLE_EQ(polygon_area({{0, 0}, {4, 0}, {0, 3}}), 6.0);
   // Orientation-independent.

@@ -40,28 +40,5 @@ TEST(PointInPolygon, DegenerateInputs) {
   EXPECT_FALSE(point_in_polygon({0, 0}, {{0, 0}, {1, 1}}));
 }
 
-TEST(RasterizePolygon, TriangleCells) {
-  // Right triangle covering roughly half of a 4x4 grid. Cell centers
-  // (x+0.5, y+0.5) with x + y + 1 <= 4 qualify (boundary inclusive):
-  // 6 strictly interior + 4 on the hypotenuse.
-  const std::vector<Vec2> tri = {{0, 0}, {4, 0}, {0, 4}};
-  const auto cells = rasterize_polygon(tri, 4, 4);
-  EXPECT_EQ(cells.size(), 10u);
-  for (const auto& [cx, cy] : cells) {
-    EXPECT_LE(cx + 0.5 + cy + 0.5, 4.001);
-  }
-}
-
-TEST(RasterizePolygon, ClipsToGrid) {
-  const std::vector<Vec2> big = {{-100, -100}, {100, -100}, {100, 100},
-                                 {-100, 100}};
-  const auto cells = rasterize_polygon(big, 3, 2);
-  EXPECT_EQ(cells.size(), 6u);
-}
-
-TEST(RasterizePolygon, DegeneratePolygonEmpty) {
-  EXPECT_TRUE(rasterize_polygon({{0, 0}, {1, 1}}, 4, 4).empty());
-}
-
 }  // namespace
 }  // namespace dive::geom

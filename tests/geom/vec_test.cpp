@@ -47,7 +47,7 @@ TEST(Vec3, CrossProductOrthogonal) {
 
 TEST(Mat3, IdentityIsNoOp) {
   const Vec3 v{1, -2, 3};
-  EXPECT_EQ(Mat3::identity() * v, v);
+  EXPECT_EQ(Mat3{} * v, v);  // default-constructed is the identity
 }
 
 TEST(Mat3, RotYMovesZTowardX) {

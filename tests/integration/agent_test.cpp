@@ -6,6 +6,7 @@
 #include "data/dataset.h"
 #include "edge/evaluator.h"
 #include "harness/experiment.h"
+#include "obs/obs.h"
 
 namespace dive::core {
 namespace {
@@ -132,6 +133,38 @@ TEST(DiveAgent, FixedDeltaConfigHonored) {
     agent->process_frame(clip.frames[static_cast<std::size_t>(i)].image,
                          util::from_seconds(clip.frames[static_cast<std::size_t>(i)].timestamp));
   EXPECT_EQ(agent->last_background_delta(), 25);
+}
+
+TEST(DiveAgent, EdgeRecordsOneServiceSpanPerOffloadedFrame) {
+  // Both lanes end in EdgeServer::respond: every offloaded frame counts
+  // once in edge.frames and gets one edge.process span, which ends one
+  // downlink delay before the result the agent reports.
+  const auto clip = small_clip(12);
+  for (const bool roi : {false, true}) {
+    obs::ObsContext ctx;
+    ctx.tracer.set_enabled(true);
+    DiveConfig cfg;
+    cfg.roi_metadata = roi;
+    cfg.obs = &ctx;
+    std::shared_ptr<edge::EdgeServer> server;
+    auto agent = make_agent(clip, 2.0, &server, cfg);
+    std::vector<util::SimTime> served;
+    for (const auto& rec : clip.frames) {
+      const util::SimTime capture = util::from_seconds(rec.timestamp);
+      const auto outcome = agent->process_frame(rec.image, capture);
+      if (outcome.offloaded)
+        served.push_back(capture + outcome.response_time -
+                         server->config().downlink_delay);
+    }
+    ASSERT_FALSE(served.empty()) << "roi=" << roi;
+    EXPECT_EQ(ctx.metrics.counter("edge.frames").value(),
+              static_cast<std::int64_t>(served.size()))
+        << "roi=" << roi;
+    std::vector<util::SimTime> span_ends;
+    for (const auto& ev : ctx.tracer.snapshot())
+      if (ev.name == "edge.process") span_ends.push_back(ev.sim_end);
+    EXPECT_EQ(span_ends, served) << "roi=" << roi;
+  }
 }
 
 }  // namespace

@@ -15,9 +15,18 @@ UplinkConfig test_config() {
   return cfg;
 }
 
+/// A head-of-line timeout of 600 s: the link waits out anything short of
+/// an extreme outage, so these cases test FIFO serialization and the
+/// give-up horizon on their own.
+UplinkConfig patient_config() {
+  UplinkConfig cfg = test_config();
+  cfg.head_timeout = from_seconds(600);
+  return cfg;
+}
+
 TEST(Uplink, SerializationPlusPropagation) {
-  Uplink link(std::make_shared<ConstantBandwidth>(1000.0), test_config());
-  const auto r = link.transmit(500.0, from_seconds(1));
+  Uplink link(std::make_shared<ConstantBandwidth>(1000.0), patient_config());
+  const auto r = link.transmit_with_timeout(500.0, from_seconds(1));
   EXPECT_TRUE(r.delivered);
   EXPECT_EQ(r.started, from_seconds(1));
   EXPECT_EQ(r.sent_complete, from_millis(1500));
@@ -25,17 +34,17 @@ TEST(Uplink, SerializationPlusPropagation) {
 }
 
 TEST(Uplink, FifoQueueing) {
-  Uplink link(std::make_shared<ConstantBandwidth>(1000.0), test_config());
-  link.transmit(1000.0, 0);  // busy until t=1s
-  const auto r = link.transmit(500.0, from_millis(100));
+  Uplink link(std::make_shared<ConstantBandwidth>(1000.0), patient_config());
+  link.transmit_with_timeout(1000.0, 0);  // busy until t=1s
+  const auto r = link.transmit_with_timeout(500.0, from_millis(100));
   EXPECT_EQ(r.started, from_seconds(1));  // waited for the queue head
   EXPECT_EQ(r.sent_complete, from_millis(1500));
 }
 
 TEST(Uplink, IdleGapBetweenTransmissions) {
-  Uplink link(std::make_shared<ConstantBandwidth>(1000.0), test_config());
-  link.transmit(100.0, 0);
-  const auto r = link.transmit(100.0, from_seconds(5));
+  Uplink link(std::make_shared<ConstantBandwidth>(1000.0), patient_config());
+  link.transmit_with_timeout(100.0, 0);
+  const auto r = link.transmit_with_timeout(100.0, from_seconds(5));
   EXPECT_EQ(r.started, from_seconds(5));  // link was idle
 }
 
@@ -58,12 +67,14 @@ TEST(Uplink, TimeoutPassesFastFrame) {
 
 TEST(Uplink, TimeoutCountsFromQueueHead) {
   // The paper's timer starts when the frame becomes the queue head.
+  // Counted from enqueue (100 ms) the deadline would be 400 ms, before
+  // the 550 ms completion.
   Uplink link(std::make_shared<ConstantBandwidth>(1000.0), test_config());
-  link.transmit(1000.0, 0);  // head until 1 s
+  link.transmit_with_timeout(300.0, 0);  // head until 300 ms
   const auto r = link.transmit_with_timeout(250.0, from_millis(100));
   EXPECT_TRUE(r.delivered);
-  EXPECT_EQ(r.started, from_seconds(1));
-  EXPECT_EQ(r.sent_complete, from_millis(1250));
+  EXPECT_EQ(r.started, from_millis(300));
+  EXPECT_EQ(r.sent_complete, from_millis(550));
 }
 
 TEST(Uplink, OutageTriggersTimeout) {
@@ -83,10 +94,10 @@ TEST(Uplink, OutageTriggersTimeout) {
 
 TEST(Uplink, OutageLongerThanHorizonReportsFailure) {
   // Regression: a trace with zero capacity made time_to_send return its
-  // horizon clamp, which transmit() used to report as a successful
+  // horizon clamp, which the uplink used to report as a successful
   // delivery at exactly horizon time. It must fail instead.
-  Uplink link(std::make_shared<ConstantBandwidth>(0.0), test_config());
-  const auto r = link.transmit(1000.0, from_seconds(3));
+  Uplink link(std::make_shared<ConstantBandwidth>(0.0), patient_config());
+  const auto r = link.transmit_with_timeout(1000.0, from_seconds(3));
   EXPECT_FALSE(r.delivered);
   EXPECT_EQ(r.started, from_seconds(3));
   EXPECT_EQ(r.gave_up_at, from_seconds(3) + from_seconds(600));
@@ -95,8 +106,8 @@ TEST(Uplink, OutageLongerThanHorizonReportsFailure) {
 
 TEST(Uplink, ExactFitAtHorizonStillDelivers) {
   // 600 B at 1 B/s completes exactly at the 600 s horizon — delivered.
-  Uplink link(std::make_shared<ConstantBandwidth>(1.0), test_config());
-  const auto r = link.transmit(600.0, 0);
+  Uplink link(std::make_shared<ConstantBandwidth>(1.0), patient_config());
+  const auto r = link.transmit_with_timeout(600.0, 0);
   EXPECT_TRUE(r.delivered);
   EXPECT_EQ(r.sent_complete, from_seconds(600));
 }
@@ -117,11 +128,11 @@ TEST(Uplink, TimeoutExactlyEqualToSerializationDelivers) {
 }
 
 TEST(Uplink, HorizonGiveUpJustPastExactFit) {
-  // Boundary of the 600 s give-up horizon in transmit(): 601 B at 1 B/s
-  // completes 1 s past the horizon and must report failure (the exact-fit
-  // companion case is ExactFitAtHorizonStillDelivers).
-  Uplink link(std::make_shared<ConstantBandwidth>(1.0), test_config());
-  const auto r = link.transmit(601.0, 0);
+  // Boundary of a 600 s give-up horizon: 601 B at 1 B/s completes 1 s
+  // past the horizon and must report failure (the exact-fit companion
+  // case is ExactFitAtHorizonStillDelivers).
+  Uplink link(std::make_shared<ConstantBandwidth>(1.0), patient_config());
+  const auto r = link.transmit_with_timeout(601.0, 0);
   EXPECT_FALSE(r.delivered);
   EXPECT_EQ(r.gave_up_at, from_seconds(600));
   EXPECT_EQ(link.busy_until(), from_seconds(600));
@@ -133,9 +144,9 @@ TEST(Uplink, HorizonCountsFromQueueHeadNotEnqueue) {
   // t = 1 s gives up at 5 s + 600 s.
   auto trace = std::make_shared<SteppedBandwidth>(
       std::vector<SteppedBandwidth::Step>{{0, 1000.0}, {from_seconds(5), 0.0}});
-  Uplink link(trace, test_config());
-  EXPECT_TRUE(link.transmit(5000.0, 0).delivered);  // busy until 5 s
-  const auto r = link.transmit(100.0, from_seconds(1));
+  Uplink link(trace, patient_config());
+  EXPECT_TRUE(link.transmit_with_timeout(5000.0, 0).delivered);  // busy until 5 s
+  const auto r = link.transmit_with_timeout(100.0, from_seconds(1));
   EXPECT_FALSE(r.delivered);
   EXPECT_EQ(r.started, from_seconds(5));
   EXPECT_EQ(r.gave_up_at, from_seconds(5) + from_seconds(600));
@@ -146,16 +157,11 @@ TEST(Uplink, RecoversAfterHorizonGiveUp) {
   // returns, the link serves later traffic normally.
   auto trace = std::make_shared<SteppedBandwidth>(
       std::vector<SteppedBandwidth::Step>{{0, 0.0}, {from_seconds(700), 1000.0}});
-  Uplink link(trace, test_config());
-  EXPECT_FALSE(link.transmit(100.0, 0).delivered);  // gave up at 600 s
-  const auto r = link.transmit(100.0, from_seconds(700));
+  Uplink link(trace, patient_config());
+  EXPECT_FALSE(link.transmit_with_timeout(100.0, 0).delivered);  // gave up at 600 s
+  const auto r = link.transmit_with_timeout(100.0, from_seconds(700));
   EXPECT_TRUE(r.delivered);
   EXPECT_EQ(r.sent_complete, from_seconds(700) + from_millis(100));
-}
-
-TEST(Uplink, CapacityBetweenMatchesTrace) {
-  Uplink link(std::make_shared<ConstantBandwidth>(2000.0), test_config());
-  EXPECT_DOUBLE_EQ(link.capacity_between(0, from_seconds(3)), 6000.0);
 }
 
 TEST(Uplink, NullTraceRejected) {

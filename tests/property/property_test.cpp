@@ -9,7 +9,6 @@
 #include "core/preprocess.h"
 #include "edge/evaluator.h"
 #include "geom/convex_hull.h"
-#include "geom/polygon.h"
 #include "net/bandwidth.h"
 #include "util/rng.h"
 #include "video/image_ops.h"
@@ -116,7 +115,7 @@ TEST(NetProperty, TimeToSendInverseOfIntegral) {
 }
 
 // ---------------------------------------------------------------------
-// Geometry: hull idempotence and containment on random point clouds.
+// Geometry: hull idempotence on random point clouds.
 // ---------------------------------------------------------------------
 
 TEST(GeomProperty, HullIdempotent) {
@@ -129,24 +128,6 @@ TEST(GeomProperty, HullIdempotent) {
     const auto hull2 = geom::convex_hull(hull);
     EXPECT_NEAR(geom::polygon_area(hull), geom::polygon_area(hull2), 1e-9);
     EXPECT_EQ(hull.size(), hull2.size());
-  }
-}
-
-TEST(GeomProperty, RasterizedCellsInsideBounds) {
-  util::Rng rng(32);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<geom::Vec2> pts;
-    for (int i = 0; i < 10; ++i)
-      pts.push_back({rng.uniform(0, 20), rng.uniform(0, 12)});
-    const auto hull = geom::convex_hull(pts);
-    if (hull.size() < 3) continue;
-    for (const auto& [cx, cy] : geom::rasterize_polygon(hull, 20, 12)) {
-      EXPECT_GE(cx, 0);
-      EXPECT_LT(cx, 20);
-      EXPECT_GE(cy, 0);
-      EXPECT_LT(cy, 12);
-      EXPECT_TRUE(geom::point_in_polygon({cx + 0.5, cy + 0.5}, hull));
-    }
   }
 }
 

@@ -197,7 +197,9 @@ FrameJob encoded_job(codec::Encoder& enc, std::uint32_t session,
 
 TEST(Admission, QueueBoundIsRespected) {
   ServeNodeConfig cfg = slow_node_config();
-  cfg.admission.deadline_aware = false;
+  // Frames here complete ~10 s apart; an hour-long deadline never bites,
+  // so only the queue bound can turn a frame away.
+  cfg.session.deadline = from_seconds(3600);
   ServeNode node(cfg);
   node.open_session(fast_uplink());
   codec::Encoder enc({.width = 64, .height = 32});
@@ -231,7 +233,7 @@ TEST(Admission, QueueBoundIsRespected) {
 }
 
 TEST(Admission, DeadlineAwareDropUnderBacklog) {
-  ServeNodeConfig cfg = slow_node_config();  // deadline_aware on by default
+  ServeNodeConfig cfg = slow_node_config();
   // Between the idle-worker completion (~10 s) and the backlogged one
   // (~20 s): frame 0 is servable in time, frame 1 provably is not.
   cfg.session.deadline = from_seconds(15);

