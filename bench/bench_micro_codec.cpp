@@ -96,6 +96,25 @@ void BM_Sad16x16(benchmark::State& state) {
 }
 BENCHMARK(BM_Sad16x16)->Arg(0)->Arg(1);  // full-pel vs half-pel path
 
+// 8x8 motion-compensated prediction (the block both encoder and decoder
+// build per coded block): Arg(0) full-pel, Arg(1) half-pel in x and y.
+// Sweeps interior block positions of a luma plane.
+void BM_McPredict8x8(benchmark::State& state) {
+  const auto frame = textured_frame(256, 256, 5);
+  const int hd = state.range(0) != 0 ? 5 : 4;  // half-pel units
+  std::uint8_t block[64];
+  int pos = 0;
+  for (auto _ : state) {
+    const int x = 8 + (pos * 40) % 232;
+    const int y = 8 + (pos * 24) % 232;
+    ++pos;
+    codec::half_pel_block(frame.y, x, y, hd, -hd, 8, block);
+    benchmark::DoNotOptimize(block);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_McPredict8x8)->Arg(0)->Arg(1);
+
 // Raw kernel comparison: Arg(0) canonical scalar, Arg(1) the dispatched
 // kernel (SSE2/AVX2/NEON when available). Sweeps block positions so the
 // working set exceeds one cache line pattern.

@@ -1,6 +1,7 @@
 #include "codec/decoder.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "codec/bitstream.h"
 #include "codec/block_io.h"
@@ -55,10 +56,9 @@ void mc_predict(const video::Plane& ref, int bx, int by, int hdx, int hdy,
                 double* pred /*64*/) {
   // (hdx, hdy) are half-pel units of this plane; mirror the encoder's
   // bilinear interpolation exactly.
-  for (int y = 0; y < kBlockSize; ++y)
-    for (int x = 0; x < kBlockSize; ++x)
-      pred[y * kBlockSize + x] = static_cast<double>(
-          half_pel_sample(ref, 2 * (bx + x) - hdx, 2 * (by + y) - hdy));
+  std::uint8_t block[kBlockSize * kBlockSize];
+  half_pel_block(ref, bx, by, hdx, hdy, kBlockSize, block);
+  std::copy(std::begin(block), std::end(block), pred);
 }
 
 }  // namespace
@@ -120,7 +120,7 @@ DecodedFrame Decoder::decode(std::span<const std::uint8_t> data) {
           const std::int64_t dy64 =
               static_cast<std::int64_t>(pred_mv.dy) + br.get_se();
           // Half-pel units: no real vector points further than one full
-          // frame away. Keeps half_pel_sample coordinate math far from
+          // frame away. Keeps half_pel_block's coordinate math far from
           // int overflow.
           if (dx64 < -2 * width || dx64 > 2 * width || dy64 < -2 * height ||
               dy64 > 2 * height)

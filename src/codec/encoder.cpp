@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <map>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -53,12 +53,10 @@ double dc_predict(const video::Plane& recon, int bx, int by) {
 /// (hdx, hdy) is the displacement in half-pel units of that plane.
 Block8x8 mc_predict(const video::Plane& ref, int bx, int by, int hdx,
                     int hdy) {
+  std::uint8_t block[kBlockSize * kBlockSize];
+  half_pel_block(ref, bx, by, hdx, hdy, kBlockSize, block);
   Block8x8 pred;
-  for (int y = 0; y < kBlockSize; ++y)
-    for (int x = 0; x < kBlockSize; ++x)
-      pred[static_cast<std::size_t>(y * kBlockSize + x)] =
-          static_cast<double>(half_pel_sample(ref, 2 * (bx + x) - hdx,
-                                              2 * (by + y) - hdy));
+  std::copy(std::begin(block), std::end(block), pred.begin());
   return pred;
 }
 
@@ -306,11 +304,9 @@ Encoder::PreparedInter Encoder::prepare_inter_trial(
 
   PreparedInter prep;
   prep.base_qp = base_qp;
-  prep.recon = video::Frame(config_.width, config_.height);
 
   // Parallel by row: quantize the precomputed residual coefficients at
-  // this trial's QP and reconstruct. Each row writes a disjoint slice of
-  // the scratch arrays and the reconstruction.
+  // this trial's QP. Each row writes a disjoint slice of the arrays.
   prep.levels.resize(mb_count * kBlocksPerMb);
   prep.cbp.assign(mb_count, 0);
   prep.qps.assign(mb_count, base_qp);
@@ -321,23 +317,12 @@ Encoder::PreparedInter Encoder::prepare_inter_trial(
       const std::size_t base = mb * kBlocksPerMb;
       const int qp = mb_qp(base_qp, offsets, col, row);
       prep.qps[mb] = qp;
-      const bool skip = plan.skip[mb] != 0;
+      if (plan.skip[mb] != 0) continue;  // no residual, cbp stays 0
       int mask = 0;
-      const auto blocks = mb_blocks(col, row);
       for (int b = 0; b < kBlocksPerMb; ++b) {
         const std::size_t i = base + static_cast<std::size_t>(b);
-        if (!skip) {
-          quantize(plan.coeffs[i], qp, prep.levels[i]);
-          if (!all_zero(prep.levels[i])) mask |= 1 << b;
-        }
-        const auto& blk = blocks[static_cast<std::size_t>(b)];
-        video::Plane& rp =
-            blk.chroma ? (b == 4 ? prep.recon.u : prep.recon.v)
-                       : prep.recon.y;
-        // SKIP macroblocks reconstruct as the bare prediction — exactly
-        // the reference copy the decoder performs on a skip bit.
-        reconstruct_block(rp, blk.bx, blk.by, plan.preds[i],
-                          (mask & (1 << b)) ? &prep.levels[i] : nullptr, qp);
+        quantize(plan.coeffs[i], qp, prep.levels[i]);
+        if (!all_zero(prep.levels[i])) mask |= 1 << b;
       }
       prep.cbp[mb] = mask;
     }
@@ -412,15 +397,46 @@ std::vector<std::uint8_t> Encoder::skip_map(const PreparedInter& prep,
 
 Encoder::Trial Encoder::run_inter_trial(const InterPlan& plan, int base_qp,
                                         const QpOffsetMap* offsets) const {
-  PreparedInter prep = prepare_inter_trial(plan, base_qp, offsets);
   Trial trial;
-  trial.base_qp = prep.base_qp;
-  trial.data = emit_inter_trial(prep, plan);
-  trial.skip = skip_map(prep, plan);
+  trial.prep = prepare_inter_trial(plan, base_qp, offsets);
+  trial.base_qp = trial.prep.base_qp;
+  trial.data = emit_inter_trial(trial.prep, plan);
+  trial.skip = skip_map(trial.prep, plan);
   trial.skipped_mbs = static_cast<int>(
       std::count(trial.skip.begin(), trial.skip.end(), std::uint8_t{1}));
-  trial.recon = std::move(prep.recon);
   return trial;
+}
+
+video::Frame Encoder::reconstruct_inter(const InterPlan& plan,
+                                        const PreparedInter& prep) const {
+  DIVE_OBS_SPAN(span, obs_, "codec.inter_recon", obs::kTrackCodec);
+  span.flow(frame_ctx_);
+  const int mb_cols = config_.width / kMb;
+  const int mb_rows = config_.height / kMb;
+  video::Frame recon(config_.width, config_.height);
+  // Parallel by row; each row writes a disjoint slice of the frame.
+  const auto recon_row = [&](int row) {
+    for (int col = 0; col < mb_cols; ++col) {
+      const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
+      const std::size_t base = mb * kBlocksPerMb;
+      const int cbp = prep.cbp[mb];
+      const auto blocks = mb_blocks(col, row);
+      for (int b = 0; b < kBlocksPerMb; ++b) {
+        const std::size_t i = base + static_cast<std::size_t>(b);
+        const auto& blk = blocks[static_cast<std::size_t>(b)];
+        video::Plane& rp =
+            blk.chroma ? (b == 4 ? recon.u : recon.v) : recon.y;
+        // SKIP macroblocks reconstruct as the bare prediction — exactly
+        // the reference copy the decoder performs on a skip bit.
+        reconstruct_block(rp, blk.bx, blk.by, plan.preds[i],
+                          (cbp & (1 << b)) ? &prep.levels[i] : nullptr,
+                          prep.qps[mb]);
+      }
+    }
+  };
+  if (pool_) pool_->parallel_for(0, mb_rows, recon_row);
+  else for (int row = 0; row < mb_rows; ++row) recon_row(row);
+  return recon;
 }
 
 Encoder::Trial Encoder::run_intra_trial(const video::Frame& src, int base_qp,
@@ -471,18 +487,19 @@ Encoder::Trial Encoder::run_intra_trial(const video::Frame& src, int base_qp,
   return trial;
 }
 
-EncodedFrame Encoder::finish_frame(Trial trial, FrameType type,
-                                   const MotionField* motion,
+EncodedFrame Encoder::finish_frame(Trial trial, const InterPlan* plan,
                                    const video::Frame& src) {
-  reference_ = std::move(trial.recon);
+  const FrameType type = plan ? FrameType::kInter : FrameType::kIntra;
+  reference_ = plan ? reconstruct_inter(*plan, trial.prep)
+                    : std::move(trial.recon);
   has_reference_ = true;
   EncodedFrame out;
   out.data = std::move(trial.data);
   out.type = type;
   out.base_qp = trial.base_qp;
-  if (type == FrameType::kInter && motion != nullptr) out.motion = *motion;
   out.psnr_y = video::psnr_y(src, reference_);
-  if (type == FrameType::kInter) {
+  if (plan) {
+    out.motion = plan->eff_motion;
     out.skip = std::move(trial.skip);
     out.skipped_mbs = trial.skipped_mbs;
   }
@@ -521,8 +538,7 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
   span.arg("base_qp", base_qp);
   const FrameType type = next_frame_type(src);
   if (type != FrameType::kInter)
-    return finish_frame(run_intra_trial(src, base_qp, offsets), type,
-                        nullptr, src);
+    return finish_frame(run_intra_trial(src, base_qp, offsets), nullptr, src);
 
   MotionField local;
   if (motion == nullptr) {
@@ -530,8 +546,7 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
     motion = &local;
   }
   const InterPlan plan = build_inter_plan(src, *motion);
-  return finish_frame(run_inter_trial(plan, base_qp, offsets), type,
-                      &plan.eff_motion, src);
+  return finish_frame(run_inter_trial(plan, base_qp, offsets), &plan, src);
 }
 
 EncodedFrame Encoder::encode_to_target(const video::Frame& src,
@@ -557,52 +572,41 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   std::optional<InterPlan> plan;
   if (type == FrameType::kInter) plan = build_inter_plan(src, *motion);
 
-  // Encode one QP trial, memoized by QP: a revisited QP is served from
-  // the memo, and the final pick is always a move, never a re-encode.
-  // Intra prediction depends on the QP-dependent reconstruction, so an
-  // intra trial is always a full pass.
-  std::map<int, Trial> memo;
-  const auto eval = [&](int qp) -> Trial& {
-    ++rc_stats_.trials_attempted;
-    if (auto it = memo.find(qp); it != memo.end()) {
-      ++rc_stats_.trials_reused;
-      return it->second;
-    }
-    ++rc_stats_.trials_encoded;
-    Trial t = plan ? run_inter_trial(*plan, qp, offsets)
-                   : run_intra_trial(src, qp, offsets);
-    return memo.emplace(qp, std::move(t)).first->second;
-  };
-
   // Binary search over base QP for the best quality that fits the budget.
+  // Every trial narrows [lo, hi] past its own QP, so no QP is tried
+  // twice, and only two trials can still be committed: the smallest
+  // fitting QP (each fitting QP is below the previous one) and the
+  // latest overshoot. Only those two keep their levels.
   int lo = kMinQp;
   int hi = kMaxQp;
   int qp = std::clamp(last_qp_, kMinQp, kMaxQp);
-  int best_qp = -1;  // smallest fitting QP seen so far
-  int over_qp = -1;  // most recent non-fitting QP
+  std::optional<Trial> best;  // smallest fitting QP so far
+  std::optional<Trial> over;  // most recent non-fitting QP
 
   for (int iter = 0; iter < kRateIterations; ++iter) {
-    const Trial& trial = eval(qp);
+    ++rc_stats_.trials_attempted;
+    ++rc_stats_.trials_encoded;
+    Trial trial = plan ? run_inter_trial(*plan, qp, offsets)
+                       : run_intra_trial(src, qp, offsets);
     if (trial.data.size() <= target_bytes) {
-      hi = trial.base_qp - 1;
-      if (best_qp < 0 || trial.base_qp < best_qp) best_qp = trial.base_qp;
+      hi = qp - 1;
+      best = std::move(trial);
     } else {
-      lo = trial.base_qp + 1;
-      over_qp = trial.base_qp;
+      lo = qp + 1;
+      over = std::move(trial);
     }
     if (lo > hi) break;
     qp = (lo + hi) / 2;
   }
 
-  const int chosen_qp = best_qp >= 0 ? best_qp : over_qp;
-  span.arg("chosen_qp", chosen_qp);
+  Trial& chosen = best ? *best : *over;
+  span.arg("chosen_qp", chosen.base_qp);
   if (obs_handles_.trials_attempted != nullptr) {
     obs_handles_.trials_attempted->add(rc_stats_.trials_attempted);
     obs_handles_.trials_encoded->add(rc_stats_.trials_encoded);
     obs_handles_.trials_reused->add(rc_stats_.trials_reused);
   }
-  return finish_frame(std::move(memo.at(chosen_qp)), type,
-                      plan ? &plan->eff_motion : nullptr, src);
+  return finish_frame(std::move(chosen), plan ? &*plan : nullptr, src);
 }
 
 }  // namespace dive::codec

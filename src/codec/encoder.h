@@ -14,9 +14,11 @@
 // Rate control: encode_to_target binary-searches the base QP. The
 // QP-independent work of an inter frame — motion field, motion-
 // compensated predictions, and the DCT coefficients of the prediction
-// residual — is computed once per frame; each QP trial only re-quantizes,
-// entropy-codes, and reconstructs. Trials are additionally memoized by QP
-// for the duration of the frame, so no QP is ever encoded twice.
+// residual — is computed once per frame; each QP trial only re-quantizes
+// and entropy-codes. Only the committed trial is reconstructed (dequantize,
+// inverse DCT, clip), once, when it becomes the reference. The search
+// keeps the levels of just the two trials it can still commit: the
+// smallest fitting QP and the latest overshoot.
 //
 // Schedule: each call runs synchronously on the calling thread (plus the
 // pool for its parallel loops). An online agent encodes frame N before
@@ -80,7 +82,9 @@ struct EncoderConfig {
 struct RateControlStats {
   int trials_attempted = 0;  ///< QP points the search evaluated
   int trials_encoded = 0;    ///< trials that ran quantize + entropy coding
-  int trials_reused = 0;     ///< trials served from the per-frame QP cache
+  /// Trials answered without encoding. Always 0: the bisection narrows
+  /// its QP interval past every QP it tries, so none is tried twice.
+  int trials_reused = 0;
 };
 
 struct EncodedFrame {
@@ -181,14 +185,6 @@ class Encoder {
   }
 
  private:
-  struct Trial {
-    std::vector<std::uint8_t> data;
-    video::Frame recon;
-    int base_qp = 0;
-    int skipped_mbs = 0;
-    std::vector<std::uint8_t> skip;  ///< per-mb emitted SKIP flags
-  };
-
   /// QP-independent per-frame state of an inter frame: the SKIP decision
   /// and effective (coded) motion field, and for every 8x8 block (6 per
   /// macroblock: 4 luma + U + V) the motion-compensated prediction and
@@ -203,14 +199,26 @@ class Encoder {
     MotionField eff_motion;
   };
 
-  /// Output of the parallel half of an inter trial (quantize +
-  /// reconstruct), read by the serial emission pass.
+  /// Output of the parallel half of an inter trial (quantize), read by
+  /// the serial emission pass and, for the committed trial only, by
+  /// reconstruct_inter.
   struct PreparedInter {
     std::vector<QuantBlock> levels;  ///< mb_count * 6, block-major
     std::vector<int> cbp;            ///< coded-block pattern per mb
     std::vector<int> qps;            ///< resolved QP per mb
-    video::Frame recon;
     int base_qp = 0;
+  };
+
+  struct Trial {
+    std::vector<std::uint8_t> data;
+    int base_qp = 0;
+    int skipped_mbs = 0;
+    std::vector<std::uint8_t> skip;  ///< per-mb emitted SKIP flags
+    /// Intra: the reconstruction, built while coding because DC
+    /// prediction reads it. Empty for inter trials.
+    video::Frame recon;
+    /// Inter: what the commit step reconstructs from. Empty for intra.
+    PreparedInter prep;
   };
 
   /// Frame-type decision for `src`: forced/GoP intra checks plus the
@@ -232,12 +240,15 @@ class Encoder {
                                       const QpOffsetMap* offsets) const;
   [[nodiscard]] Trial run_intra_trial(const video::Frame& src, int base_qp,
                                       const QpOffsetMap* offsets) const;
+  /// Decoder-exact reconstruction of an inter trial, row-parallel.
+  [[nodiscard]] video::Frame reconstruct_inter(const InterPlan& plan,
+                                               const PreparedInter& prep)
+      const;
 
-  /// Commits the chosen trial: its reconstruction becomes reference_,
-  /// then PSNR, codec-state bookkeeping and obs. `motion` is the CODED
-  /// field (InterPlan::eff_motion; ignored for intra frames).
-  EncodedFrame finish_frame(Trial trial, FrameType type,
-                            const MotionField* motion,
+  /// Commits the chosen trial: its reconstruction becomes reference_
+  /// (built here from `plan` for an inter trial, null for intra), then
+  /// PSNR, codec-state bookkeeping and obs.
+  EncodedFrame finish_frame(Trial trial, const InterPlan* plan,
                             const video::Frame& src);
 
   /// Cached metric handles (see set_obs); all null when unobserved.

@@ -14,11 +14,11 @@ namespace {
 
 constexpr int kMb = kMacroblockSize;
 
-/// True when the 16x16 reference read at (x0, y0) stays inside the plane
-/// (with one extra sample right/below for half-pel interpolation).
-bool ref_inside(const video::Plane& ref, int x0, int y0, int margin = 0) {
-  return x0 >= 0 && y0 >= 0 && x0 + kMb + margin <= ref.width &&
-         y0 + kMb + margin <= ref.height;
+/// True when the w x h reference read at (x0, y0) stays inside the plane
+/// (half-pel interpolation reads one extra column and/or row).
+bool ref_inside(const video::Plane& ref, int x0, int y0, int w = kMb,
+                int h = kMb) {
+  return x0 >= 0 && y0 >= 0 && x0 + w <= ref.width && y0 + h <= ref.height;
 }
 
 /// SAD against a full-pel displaced reference block. The interior case
@@ -60,21 +60,52 @@ int half_pel_sample(const video::Plane& ref, int hx, int hy) {
          2;
 }
 
+void half_pel_block(const video::Plane& ref, int bx, int by, int hdx, int hdy,
+                    int n, std::uint8_t* out) {
+  // Sample (x, y) reads integer position (x0 + x, y0 + y) and, on an odd
+  // component, its right/lower neighbour: the parity is the same for the
+  // whole block, so an interior block runs one of four plain loops.
+  const int x0 = (2 * bx - hdx) >> 1;
+  const int y0 = (2 * by - hdy) >> 1;
+  const int fx = hdx & 1;
+  const int fy = hdy & 1;
+  if (!ref_inside(ref, x0, y0, n + fx, n + fy)) {
+    for (int y = 0; y < n; ++y)
+      for (int x = 0; x < n; ++x)
+        out[y * n + x] = static_cast<std::uint8_t>(half_pel_sample(
+            ref, 2 * (bx + x) - hdx, 2 * (by + y) - hdy));
+    return;
+  }
+  const std::size_t stride = static_cast<std::size_t>(ref.width);
+  const std::uint8_t* r = &ref.data[static_cast<std::size_t>(y0) * stride +
+                                    static_cast<std::size_t>(x0)];
+  if (!fx && !fy) {
+    for (int y = 0; y < n; ++y, r += stride, out += n) std::copy_n(r, n, out);
+  } else if (!fy) {
+    for (int y = 0; y < n; ++y, r += stride, out += n)
+      for (int x = 0; x < n; ++x)
+        out[x] = static_cast<std::uint8_t>((r[x] + r[x + 1] + 1) >> 1);
+  } else if (!fx) {
+    for (int y = 0; y < n; ++y, r += stride, out += n)
+      for (int x = 0; x < n; ++x)
+        out[x] = static_cast<std::uint8_t>((r[x] + r[x + stride] + 1) >> 1);
+  } else {
+    for (int y = 0; y < n; ++y, r += stride, out += n)
+      for (int x = 0; x < n; ++x)
+        out[x] = static_cast<std::uint8_t>(
+            (r[x] + r[x + 1] + r[x + stride] + r[x + stride + 1] + 2) >> 2);
+  }
+}
 
 std::uint32_t sad_16x16(const video::Plane& cur, const video::Plane& ref,
                         int cx, int cy, MotionVector mv, Sad16Fn fast) {
   if (fast == nullptr) fast = sad_16x16_fn();
   if ((mv.dx & 1) == 0 && (mv.dy & 1) == 0)
     return sad_fullpel(cur, ref, cx, cy, mv.dx >> 1, mv.dy >> 1, fast);
-  std::uint32_t acc = 0;
-  for (int y = 0; y < kMb; ++y)
-    for (int x = 0; x < kMb; ++x) {
-      const int r = half_pel_sample(ref, 2 * (cx + x) - mv.dx,
-                                       2 * (cy + y) - mv.dy);
-      acc += static_cast<std::uint32_t>(
-          std::abs(static_cast<int>(cur.at(cx + x, cy + y)) - r));
-    }
-  return acc;
+  std::uint8_t block[kMb * kMb];
+  half_pel_block(ref, cx, cy, mv.dx, mv.dy, kMb, block);
+  return fast(&cur.data[static_cast<std::size_t>(cy) * cur.width + cx],
+              cur.width, block, kMb);
 }
 
 LumaPyramid build_pyramid(const video::Plane& base, int levels) {
@@ -137,16 +168,18 @@ std::uint32_t hadamard8_cost(int d[8][8]) {
 
 std::uint32_t satd_16x16(const video::Plane& cur, const video::Plane& ref,
                          int cx, int cy, MotionVector mv) {
+  std::uint8_t block[kMb * kMb];
+  half_pel_block(ref, cx, cy, mv.dx, mv.dy, kMb, block);
   std::uint32_t acc = 0;
   int d[8][8];
   for (int by = 0; by < 2; ++by) {
     for (int bx = 0; bx < 2; ++bx) {
       for (int y = 0; y < 8; ++y)
         for (int x = 0; x < 8; ++x) {
-          const int px = cx + bx * 8 + x;
-          const int py = cy + by * 8 + y;
-          d[y][x] = static_cast<int>(cur.at(px, py)) -
-                    half_pel_sample(ref, 2 * px - mv.dx, 2 * py - mv.dy);
+          const int px = bx * 8 + x;
+          const int py = by * 8 + y;
+          d[y][x] = static_cast<int>(cur.at(cx + px, cy + py)) -
+                    block[py * kMb + px];
         }
       acc += hadamard8_cost(d);
     }

@@ -69,11 +69,22 @@ LumaPyramid build_pyramid(const video::Plane& base, int levels);
 /// search cost and prediction agree exactly.
 int half_pel_sample(const video::Plane& ref, int hx, int hy);
 
+/// The n x n block of `ref` at pixel origin (bx, by) displaced by
+/// (hdx, hdy) half-pel units, row-major into `out` (stride n): sample
+/// (x, y) equals half_pel_sample(ref, 2 * (bx + x) - hdx,
+/// 2 * (by + y) - hdy). Interior blocks interpolate with plain row loops;
+/// a block that reads past the border takes the per-sample clamped path.
+/// Shared by motion search and both sides' motion compensation.
+void half_pel_block(const video::Plane& ref, int bx, int by, int hdx,
+                    int hdy, int n, std::uint8_t* out);
+
 /// Sum of absolute differences between the 16x16 block of `cur` at
 /// (cx, cy) and the block of `ref` displaced by `mv` (half-pel units);
-/// reads outside `ref` clamp to the border. Even-component (full-pel)
-/// interior displacements take the dispatched `fast` kernel (null = the
-/// process-wide auto dispatch); half-pel and border reads stay scalar.
+/// reads outside `ref` clamp to the border. Every case ends in the
+/// dispatched `fast` kernel (null = the process-wide auto dispatch):
+/// full-pel interior blocks read the plane directly, half-pel blocks are
+/// interpolated once by half_pel_block. Only full-pel border blocks stay
+/// a scalar clamped loop.
 std::uint32_t sad_16x16(const video::Plane& cur, const video::Plane& ref,
                         int cx, int cy, MotionVector mv,
                         Sad16Fn fast = nullptr);

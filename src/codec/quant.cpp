@@ -15,14 +15,17 @@ void quantize(const Block8x8& coeffs, int qp, QuantBlock& levels) {
   // Dead zone of 1/6 step suppresses near-zero noise coefficients, which
   // is what makes low-texture blocks cheap (and their MVs noisy).
   const double deadzone = step / 6.0;
+  // Round half away from zero, as std::lround does, without the libm
+  // call: truncate, then step by the exact fractional part (q - t is
+  // exact for |q| < 2^31). The loop has no calls or branches, so it
+  // vectorizes.
   for (int i = 0; i < 64; ++i) {
     const double c = coeffs[static_cast<std::size_t>(i)];
-    if (std::abs(c) <= deadzone) {
-      levels[static_cast<std::size_t>(i)] = 0;
-    } else {
-      levels[static_cast<std::size_t>(i)] =
-          static_cast<std::int32_t>(std::lround(c / step));
-    }
+    const double q = c / step;
+    auto t = static_cast<std::int32_t>(q);
+    const double f = q - static_cast<double>(t);
+    t += (f >= 0.5 ? 1 : 0) - (f <= -0.5 ? 1 : 0);
+    levels[static_cast<std::size_t>(i)] = std::abs(c) <= deadzone ? 0 : t;
   }
 }
 

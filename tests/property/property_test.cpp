@@ -38,6 +38,12 @@ struct CodecParam {
   codec::MotionSearchMethod method;
 };
 
+// Names the parameter in test listings. Without it gtest prints the raw
+// object bytes, padding included, so the listed names vary per build.
+void PrintTo(const CodecParam& p, std::ostream* os) {
+  *os << codec::to_string(p.method) << "_qp" << p.qp;
+}
+
 class CodecSweep : public ::testing::TestWithParam<CodecParam> {};
 
 TEST_P(CodecSweep, ReconstructionRoundTrip) {
